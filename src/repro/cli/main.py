@@ -255,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--fusion-min-depth",
         type=int,
         default=2,
-        help="queue depth below which batch fusion is bypassed and "
-        "requests dispatch singly (adaptive mode)",
+        help="queue depth below which the batch linger is bypassed and "
+        "requests dispatch at once (adaptive mode)",
     )
     p.add_argument(
         "--queue-capacity", type=int, default=512, help="admission queue bound"
@@ -370,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--fusion-min-depth",
         type=int,
         default=2,
-        help="per-worker queue depth below which batch fusion is bypassed",
+        help="per-worker queue depth below which the batch linger is "
+        "bypassed",
     )
     p.add_argument(
         "--queue-capacity",

@@ -14,9 +14,9 @@ when there is comfortable headroom:
     and relaxed (+ ``target_step_s``) toward the configured ceiling
     when there is headroom, recovering fusion efficiency.
 ``fusion_min_depth``
-    The scheduler's fused-path threshold. Raised when overloaded at
-    shallow queue depth (singleton dispatch is cheaper than fusion
-    bookkeeping there), lowered back toward its baseline on headroom.
+    The controller's linger-bypass depth. Raised when overloaded at
+    shallow queue depth (dispatching at once beats lingering for a
+    batch there), lowered back toward its baseline on headroom.
 ``admission_capacity``
     The admission queue's ``capacity``. Shrunk when the queue is the
     problem (deep backlog while the SLO is violated) so excess load is
@@ -137,7 +137,7 @@ class GatewayGovernor:
             if capacity_range is not None
             else (max(1, baseline_capacity // 8), baseline_capacity)
         )
-        self._baseline_depth = int(service.scheduler.fusion_min_depth)
+        self._baseline_depth = int(controller.fusion_min_depth)
         self._p95_source = p95_source or (
             lambda: service.metrics.latency_quantiles()["p95"]
         )
@@ -205,15 +205,15 @@ class GatewayGovernor:
                     "p95 over SLO with deep backlog: shed at admission",
                 ))
         else:
-            # Shallow queue yet slow: fusion bookkeeping is not paying
-            # for itself; dispatch more batches singly.
-            current_depth = int(self.service.scheduler.fusion_min_depth)
+            # Shallow queue yet slow: lingering for a batch is not
+            # paying for itself; bypass the linger at more depths.
+            current_depth = int(controller.fusion_min_depth)
             proposed_depth = self._clamp(current_depth + 1, self.depth_range)
             if proposed_depth != current_depth:
                 self._set_fusion_depth(proposed_depth)
                 moves.append(self._move(
                     "fusion_min_depth", current_depth, proposed_depth,
-                    "p95 over SLO at shallow depth: widen singleton path",
+                    "p95 over SLO at shallow depth: widen linger bypass",
                 ))
         return moves
 
@@ -240,7 +240,7 @@ class GatewayGovernor:
                 "admission_capacity", current_cap, proposed_cap,
                 "headroom: re-admit load",
             ))
-        current_depth = int(self.service.scheduler.fusion_min_depth)
+        current_depth = int(controller.fusion_min_depth)
         if current_depth > self._baseline_depth:
             proposed_depth = self._clamp(
                 current_depth - 1, self.depth_range
@@ -249,7 +249,7 @@ class GatewayGovernor:
                 self._set_fusion_depth(proposed_depth)
                 moves.append(self._move(
                     "fusion_min_depth", current_depth, proposed_depth,
-                    "headroom: restore fusion depth",
+                    "headroom: restore linger-bypass depth",
                 ))
         return moves
 
@@ -275,9 +275,7 @@ class GatewayGovernor:
         return moves
 
     def _set_fusion_depth(self, depth: int) -> None:
-        scheduler = self.service.scheduler
-        scheduler.fusion_min_depth = depth
-        scheduler.controller.fusion_min_depth = depth
+        self.service.scheduler.controller.fusion_min_depth = depth
 
     @staticmethod
     def _move(knob: str, old, new, reason: str) -> Dict:
@@ -327,7 +325,7 @@ class GatewayGovernor:
             "under_streak": self._under,
             "knobs": {
                 "target_p95_s": scheduler.controller.target_p95_s,
-                "fusion_min_depth": scheduler.fusion_min_depth,
+                "fusion_min_depth": scheduler.controller.fusion_min_depth,
                 "admission_capacity": queue.capacity,
             },
             "events": list(self.events),

@@ -226,15 +226,6 @@ class AdmissionQueue:
         Optional cap on one client's queued requests. A client at its
         cap is refused (both policies) while other clients are still
         admitted — the fairness backstop against a single flooder.
-    eager_single:
-        Skip the :meth:`take` batch-fill linger when exactly one
-        request is queued. A lone closed-loop client otherwise pays the
-        full ``batch_wait`` on *every* request for a batch that never
-        fills (the 1-client serving regression); with several requests
-        already queued the linger still runs, so fusion under load is
-        unaffected. Off by default — opt-in latency policy, not queue
-        semantics. Superseded by the adaptive controller's depth-k
-        bypass when one is passed to :meth:`take`.
     urgent_slack_s:
         Deadline slack below which a queued request is *urgent*: the
         drain pulls urgent lane heads earliest-deadline-first before
@@ -248,7 +239,6 @@ class AdmissionQueue:
         policy: str = "reject",
         block_timeout_s: Optional[float] = 5.0,
         per_client_limit: Optional[int] = None,
-        eager_single: bool = False,
         urgent_slack_s: float = 0.01,
     ):
         if capacity < 1:
@@ -273,7 +263,6 @@ class AdmissionQueue:
         self.policy = policy
         self.block_timeout_s = block_timeout_s
         self.per_client_limit = per_client_limit
-        self.eager_single = bool(eager_single)
         self.urgent_slack_s = float(urgent_slack_s)
         #: Optional AdaptiveBatchController observing arrivals; set by
         #: the scheduler that owns this queue (duck-typed, no import).
@@ -385,7 +374,7 @@ class AdmissionQueue:
         ``batch_wait`` seconds, or — when an adaptive ``controller`` is
         passed — whatever the controller sizes from its arrival-rate
         EWMA and the current depth (including a zero window: the
-        depth-k fusion bypass). Returns ``(batch, expired)``; expired
+        depth-k linger bypass). Returns ``(batch, expired)``; expired
         envelopes (deadline lapsed while queued) are removed from the
         queue but *not* part of the batch.
 
@@ -406,13 +395,12 @@ class AdmissionQueue:
             if controller is not None and controller.adaptive:
                 self._linger_adaptive(max_items, controller)
             elif batch_wait > 0 and self._depth < max_items:
-                if not (self.eager_single and self._depth == 1):
-                    deadline = time.monotonic() + batch_wait
-                    while self._depth < max_items and not self._closed:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._cond.wait(remaining)
+                deadline = time.monotonic() + batch_wait
+                while self._depth < max_items and not self._closed:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    self._cond.wait(remaining)
             batch, expired = self._drain_locked(max_items)
             if controller is not None:
                 controller.observe_drain(len(batch) + len(expired))
@@ -426,8 +414,6 @@ class AdmissionQueue:
         for a settle gap — so a burst is collected whole without ever
         paying dead linger time after it ends.
         """
-        if self._depth >= max_items or controller.should_bypass(self._depth):
-            return
         now = time.monotonic()
         oldest_age = now - self._oldest_submitted_locked(now)
         window = controller.linger_window_s(self._depth, oldest_age, max_items)

@@ -16,9 +16,9 @@ Two mechanisms keep batching from ever costing latency:
 
 * :class:`AdaptiveBatchController` sizes the linger window from an
   EWMA of the inter-arrival gap and the instantaneous queue depth
-  instead of a fixed ``max_wait_s``: light traffic bypasses the linger
-  entirely (the depth-k generalization of the old ``eager_single``
-  flag), a burst is collected until arrivals *settle* rather than for
+  instead of a fixed ``max_wait_s``: light traffic (queue depth and
+  drained-batch EWMA below ``fusion_min_depth``) bypasses the linger
+  entirely, a burst is collected until arrivals *settle* rather than for
   a fixed window, and an optional ``target_p95_s`` SLO caps how long
   the oldest queued request may age before dispatch. The controller
   only decides *when* to drain — batch composition never changes what
@@ -27,8 +27,8 @@ Two mechanisms keep batching from ever costing latency:
 * :class:`BatchArena` owns the per-batch staging storage — fused
   kernel rows, stitched seed blocks, the K=1 solve's kernel/target/
   residual buffers — as named flat buffers grown geometrically and
-  reused across batches, replacing the per-batch ``np.concatenate``
-  chains that used to allocate on the hot path.
+  reused across batches, so steady-state batches stage without
+  allocating.
 
 Determinism contract (the acceptance bar of this layer): a request's
 reply is bitwise-identical (float64) whether it was solved alone or
@@ -47,13 +47,14 @@ inside any micro-batch, because
   depend on the other sniffers, so slicing the full-set kernels equals
   computing on the restricted model;
 * arena staging only changes *where* rows live, never their values:
-  every replaced ``np.concatenate`` becomes slice assignments into a
-  preallocated buffer, and every replaced expression becomes the same
-  ufunc sequence with ``out=`` — identical float64 bits either way.
+  rows are slice-assigned into preallocated buffers and the math runs
+  as ufuncs with ``out=`` — the same float64 bits as fresh arrays.
 
 Per-request dispatch is literally this same scheduler with
-``max_batch=1`` — one code path, two batch sizes — which is what makes
-the batched-vs-unbatched identity trivially auditable.
+``max_batch=1``, and a drained batch of one runs the same fused
+functions as a batch of sixty-four — one code path at every batch
+size — which is what makes the batched-vs-unbatched identity trivially
+auditable.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ class AdaptiveBatchController:
         few arrivals.
     ``batch_ewma``
         EWMA of the drained batch size, fed by :meth:`observe_drain`.
-        This is what generalizes ``eager_single`` to depth-k without a
+        This is what lets the bypass work at depth k without a
         closed-loop trap: a lone client's service-time gap can look
         "fast enough to linger for", but its drains keep coming back
         size 1, so the batch EWMA keeps the bypass engaged; under real
@@ -208,20 +209,6 @@ class AdaptiveBatchController:
             self.batch_ewma += self.ewma_alpha * (drained - self.batch_ewma)
 
     # -- decisions ------------------------------------------------------
-    def should_bypass(self, depth: int) -> bool:
-        """Cheap depth-k bypass check, callable before any linger setup.
-
-        The queue asks this first so the bypass path — the common case
-        under light traffic — skips the lane scan and clock read that
-        sizing a window needs; it is the same condition
-        :meth:`linger_window_s` applies.
-        """
-        if depth < self.fusion_min_depth and self.batch_ewma < self.fusion_min_depth:
-            self.bypasses += 1
-            self.last_window_s = 0.0
-            return True
-        return False
-
     def settle_s(self) -> float:
         """Arrival pause that ends the linger early (the burst is over)."""
         settle = max(self.settle_mult * self.gap_ewma_s, self.settle_floor_s)
@@ -458,8 +445,8 @@ def plan_localize(
 
 
 def fuse_pool_kernels(
-    model, plans: Sequence[_LocalizePlan], engine=None,
-    arena: Optional[BatchArena] = None,
+    model, plans: Sequence[_LocalizePlan], engine=None, *,
+    arena: BatchArena,
 ) -> int:
     """Evaluate every plan's non-seed candidate rows in one kernels call.
 
@@ -471,12 +458,10 @@ def fuse_pool_kernels(
     row count (a metrics signal of how much work one engine call
     amortized).
 
-    With an ``arena``, the stacked sink rows, the fused kernel output
-    (written in place via ``geometry_kernels(..., out=)``), and the
-    stitched per-plan blocks all live in reused arena storage — the
-    same values the old per-batch ``np.concatenate`` chain produced,
-    without its allocations. Plans with no seed prefix and no dropout
-    keep a zero-copy view into the fused block either way.
+    The stacked sink rows, the fused kernel output (written in place
+    via ``geometry_kernels(..., out=)``), and the stitched per-plan
+    blocks all live in reused ``arena`` storage. Plans with no seed
+    prefix and no dropout keep a zero-copy view into the fused block.
     """
     segments: List[Tuple[_LocalizePlan, int, int, int, int]] = []
     total = 0
@@ -495,35 +480,26 @@ def fuse_pool_kernels(
             raise FaultInjected(
                 f"serve.batch.fuse: fused kernel pass over {total} rows failed"
             )
-        out = None
-        if arena is None:
-            stacked = np.concatenate(
-                [plan.pools[r][u][k:] for plan, r, u, k, _ in segments],
-                axis=0,
-            )
-        else:
-            stacked = arena.take("fuse_sinks", (total, 2))
-            offset = 0
-            for plan, r, u, k, count in segments:
-                stacked[offset:offset + count] = plan.pools[r][u][k:]
-                offset += count
-            out = arena.take("fuse_kernels", (total, model.node_count))
+        stacked = arena.take("fuse_sinks", (total, 2))
+        offset = 0
+        for plan, r, u, k, count in segments:
+            stacked[offset:offset + count] = plan.pools[r][u][k:]
+            offset += count
+        out = arena.take("fuse_kernels", (total, model.node_count))
         fused = model.geometry_kernels(stacked, engine=engine, out=out)
 
     # Plans with a seed prefix or a dropout column subset need their own
     # (k + count, ncols) block; pack them side by side in one arena
     # buffer (a cursor walk) so their views coexist for the whole batch.
-    stitch = None
-    if arena is not None:
-        stitch_elems = 0
-        for plan, _, _, k, count in segments:
-            if k > 0 or plan.columns is not None:
-                ncols = (
-                    model.node_count if plan.columns is None
-                    else plan.columns.shape[0]
-                )
-                stitch_elems += (k + count) * ncols
-        stitch = arena.take("stitch_kernels", (stitch_elems,))
+    stitch_elems = 0
+    for plan, _, _, k, count in segments:
+        if k > 0 or plan.columns is not None:
+            ncols = (
+                model.node_count if plan.columns is None
+                else plan.columns.shape[0]
+            )
+            stitch_elems += (k + count) * ncols
+    stitch = arena.take("stitch_kernels", (stitch_elems,))
     cursor = 0
     offset = 0
     for plan, r, u, k, count in segments:
@@ -532,14 +508,6 @@ def fuse_pool_kernels(
         seed = plan.seed_kernels[r][u]
         if k == 0 and plan.columns is None:
             plan.pool_kernels[r][u] = block  # zero-copy view
-            continue
-        if stitch is None:
-            if plan.columns is not None:
-                block = block[:, plan.columns]
-            plan.pool_kernels[r][u] = (
-                block if seed is None
-                else np.concatenate([seed, block], axis=0)
-            )
             continue
         ncols = (
             block.shape[1] if plan.columns is None
@@ -565,7 +533,7 @@ def fuse_pool_kernels(
 
 
 def solve_single_user_fused(
-    plans: Sequence[_LocalizePlan], arena: Optional[BatchArena] = None
+    plans: Sequence[_LocalizePlan], arena: BatchArena
 ) -> List[LocalizationResult]:
     """Solve a group of K=1 plans (equal sniffer arity) in one row sweep.
 
@@ -580,17 +548,10 @@ def solve_single_user_fused(
     incumbent plus each restart's next-best alternatives, which for one
     user is exactly the candidate ranking).
 
-    Every staging array comes from the ``arena`` when one is passed
-    (fresh ``np.empty`` otherwise); the arithmetic is the same ufunc
-    sequence either way, applied with ``out=`` into reused storage —
-    bitwise-identical float64 results, no per-batch allocation.
+    Every staging array comes from the ``arena``; the arithmetic is
+    applied with ``out=`` into reused storage — bitwise the same
+    float64 results as fresh arrays, no per-batch allocation.
     """
-
-    def _take(name, shape, dtype=np.float64):
-        if arena is None:
-            return np.empty(shape, dtype=dtype)
-        return arena.take(name, shape, dtype)
-
     counts: List[int] = []
     total = 0
     for plan in plans:
@@ -601,11 +562,11 @@ def solve_single_user_fused(
         total += c
     n = plans[0].objective._weighted_target.shape[0]
 
-    kernels = _take("solve_kernels", (total, n))
-    target_rows = _take("solve_targets", (len(plans), n))
-    row_plan = _take("solve_row_plan", (total,), dtype=np.int64)
-    thetas = _take("solve_thetas", (total,))
-    objectives = _take("solve_objectives", (total,))
+    kernels = arena.take("solve_kernels", (total, n))
+    target_rows = arena.take("solve_targets", (len(plans), n))
+    row_plan = arena.take("solve_row_plan", (total,), dtype=np.int64)
+    thetas = arena.take("solve_thetas", (total,))
+    objectives = arena.take("solve_objectives", (total,))
 
     offset = 0
     for p, plan in enumerate(plans):
@@ -622,10 +583,10 @@ def solve_single_user_fused(
             offset += kern.shape[0]
 
     block = min(_SOLVE_BLOCK_ROWS, total)
-    t_blk_buf = _take("solve_t_blk", (block, n))
-    resid_buf = _take("solve_resid", (block, n))
-    num_buf = _take("solve_num", (block,))
-    den_buf = _take("solve_den", (block,))
+    t_blk_buf = arena.take("solve_t_blk", (block, n))
+    resid_buf = arena.take("solve_resid", (block, n))
+    num_buf = arena.take("solve_num", (block,))
+    den_buf = arena.take("solve_den", (block,))
     for start in range(0, total, _SOLVE_BLOCK_ROWS):
         stop = min(start + _SOLVE_BLOCK_ROWS, total)
         rows = stop - start
@@ -650,7 +611,7 @@ def solve_single_user_fused(
     for plan, count in zip(plans, counts):
         objs = objectives[offset:offset + count]
         ths = thetas[offset:offset + count]
-        positions = _take("solve_positions", (count, 2))
+        positions = arena.take("solve_positions", (count, 2))
         pos = 0
         for r in range(len(plan.pools)):
             pool = plan.pools[r][0]
@@ -719,12 +680,9 @@ class MicroBatchScheduler:
         controller's hard ceiling rather than the fixed window.
     adaptive / target_p95_s / fusion_min_depth:
         The :class:`AdaptiveBatchController` knobs. ``adaptive=False``
-        restores the fixed ``max_wait_s`` window exactly (plus the
-        queue's ``eager_single`` policy, when set).
-        ``fusion_min_depth`` is both the controller's bypass threshold
-        and the dispatch-side cutoff below which a drained batch is
-        answered through the singleton fast path instead of the fusion
-        bookkeeping.
+        is the plain fixed ``max_wait_s`` window. ``fusion_min_depth``
+        is the controller's linger-bypass depth; every drained batch,
+        whatever its size, goes through the same fused dispatch.
     idle_wait_s:
         Poll bound of the empty-queue wait (also the stop-signal
         latency); non-positive values are clamped to a real
@@ -781,7 +739,6 @@ class MicroBatchScheduler:
         self.max_wait_s = float(max_wait_s)
         self.idle_wait_s = float(idle_wait_s)
         self.adaptive = bool(adaptive)
-        self.fusion_min_depth = int(fusion_min_depth)
         self.controller = AdaptiveBatchController(
             max_wait_s=self.max_wait_s,
             fusion_min_depth=fusion_min_depth,
@@ -895,13 +852,6 @@ class MicroBatchScheduler:
             item.stamp("admission", taken_at)
         batch_size = len(live)
         engine = self.governor.current_engine()
-        if batch_size < max(2, self.fusion_min_depth):
-            # Below the fusion threshold the cross-request bookkeeping
-            # costs more than it amortizes; dispatch singly.
-            for item in live:
-                self._process_one(item, engine, taken_at)
-            return
-
         localize = [i for i in live if isinstance(i.request, LocalizeRequest)]
         track = [i for i in live if isinstance(i.request, TrackStepRequest)]
 
@@ -987,59 +937,6 @@ class MicroBatchScheduler:
             self._complete_localize(plan.item, result, batch_size, taken_at)
 
         self._process_track(track, batch_size, taken_at)
-
-    def _process_one(self, item: PendingRequest, engine, taken_at: float) -> None:
-        """Singleton fast path: a drained batch of one skips the
-        cross-request fusion bookkeeping (prematch stacking, arity
-        grouping) and dispatches straight through. The reply is
-        identical by construction — the steps below are the exact
-        functions the batched path runs over lists of one, and every
-        request's RNG streams are private — so only the dispatch
-        overhead goes away.
-        """
-        item.stamp("admission", taken_at)
-        if isinstance(item.request, TrackStepRequest):
-            self.metrics.record_batch(1, self.queue.depth_hint(), 0)
-            self._process_track([item], 1, taken_at)
-            return
-        prematch = None
-        if _fused_match_eligible(self.fingerprint_map, item.request):
-            try:
-                prematch = fuse_map_matches(
-                    self.fingerprint_map, [item],
-                    workspace=self._match_workspace,
-                ).get(id(item))
-            except Exception as exc:
-                _LOG.warning(
-                    "fused prematch failed (%s: %s); falling back to "
-                    "per-request matching", type(exc).__name__, exc,
-                )
-                self.metrics.record_internal_fault("serve.prematch")
-        try:
-            plan = plan_localize(
-                self.localizer, self.fingerprint_map, item, prematch=prematch
-            )
-            fused_rows = self._fused_kernels([plan], engine)
-        except Exception as exc:
-            self.metrics.record_batch(1, self.queue.depth_hint(), 0)
-            self._complete_error(
-                item, ERROR_INTERNAL, f"{type(exc).__name__}: {exc}"
-            )
-            return
-        item.stamp("fuse")
-        self.metrics.record_batch(1, self.queue.depth_hint(), fused_rows)
-        try:
-            if plan.request.user_count == 1:
-                result = solve_single_user_fused([plan], arena=self.arena)[0]
-            else:
-                result = solve_multi_user(plan, engine=engine)
-        except Exception as exc:
-            self._complete_error(
-                item, ERROR_INTERNAL, f"{type(exc).__name__}: {exc}"
-            )
-            return
-        item.stamp("solve")
-        self._complete_localize(item, result, 1, taken_at)
 
     def _fused_kernels(self, plans: List[_LocalizePlan], engine) -> int:
         """The fused kernel pass under the resilience ladder.

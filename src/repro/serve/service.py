@@ -91,19 +91,13 @@ class LocalizationService:
         sizes the linger window from the arrival-rate EWMA and queue
         depth; ``target_p95_s`` optionally caps how long the oldest
         queued request may age before dispatch (SLO-aware);
-        ``fusion_min_depth`` is the depth below which fusion is
-        bypassed and requests dispatch singly (the depth-k
-        generalization of ``eager_single``). ``adaptive=False``
-        restores the fixed-window scheduler exactly.
+        ``fusion_min_depth`` is the linger-bypass depth: while queue
+        depth and the drained-batch EWMA sit below it, the scheduler
+        dispatches at once instead of lingering for a batch.
+        ``adaptive=False`` is the plain fixed ``max_wait_s`` window.
     queue_capacity / admission_policy / block_timeout_s / per_client_limit:
         Admission control (see :class:`~repro.serve.admission.
         AdmissionQueue`).
-    eager_single:
-        On by default for a service: a lone queued request dispatches
-        without the batch-fill linger (the 1-client latency fix); the
-        linger still runs whenever two or more requests are queued.
-        Only consulted with ``adaptive=False`` — the adaptive
-        controller's depth bypass supersedes it.
     metrics:
         Optional externally owned :class:`ServerMetrics`.
     retry_policy:
@@ -136,7 +130,6 @@ class LocalizationService:
         admission_policy: str = "reject",
         block_timeout_s: Optional[float] = 5.0,
         per_client_limit: Optional[int] = None,
-        eager_single: bool = True,
         metrics: Optional[ServerMetrics] = None,
         idle_wait_s: float = 0.05,
         retry_policy=_DEFAULT_RETRIES,
@@ -178,7 +171,6 @@ class LocalizationService:
             policy=admission_policy,
             block_timeout_s=block_timeout_s,
             per_client_limit=per_client_limit,
-            eager_single=eager_single,
             urgent_slack_s=max(0.01, 4.0 * max_wait_s),
         )
         self._envelopes = EnvelopePool(capacity=max(64, queue_capacity))

@@ -2,7 +2,7 @@
 
 The closed loop is tested deterministically: ``p95_source`` replays a
 scripted load shift (calm -> overload -> recovery) against the real
-knob objects (``scheduler.controller``, ``scheduler.fusion_min_depth``,
+knob objects (``scheduler.controller`` and its ``fusion_min_depth``,
 ``queue.capacity``), so every assertion about hysteresis, cooldown,
 clamping, and multi-knob movement is exact — no sleeps, no real
 latency needed.
@@ -76,7 +76,9 @@ class TestControlLaw:
             "target_p95_s": float(
                 service.scheduler.controller.target_p95_s
             ),
-            "fusion_min_depth": int(service.scheduler.fusion_min_depth),
+            "fusion_min_depth": int(
+                service.scheduler.controller.fusion_min_depth
+            ),
         }
         for _ in range(16):
             governor.tick()
@@ -86,7 +88,7 @@ class TestControlLaw:
         assert service.scheduler.controller.target_p95_s < (
             baseline["target_p95_s"]
         )
-        assert service.scheduler.fusion_min_depth > (
+        assert service.scheduler.controller.fusion_min_depth > (
             baseline["fusion_min_depth"]
         )
         adjustments_after_overload = governor.adjustments_total
@@ -127,22 +129,22 @@ class TestControlLaw:
         assert controller.target_p95_s == pytest.approx(
             governor.target_range_s[0]
         )
-        assert service.scheduler.fusion_min_depth <= 4
+        assert service.scheduler.controller.fusion_min_depth <= 4
         # Clamped knobs stop producing events: one more tick, no moves.
         assert governor.tick() == []
 
     def test_relax_restores_baselines_on_headroom(self, service):
         overload = _Script([0.120] * 6)
         governor = _governor(service, overload, patience=1, cooldown_ticks=0)
-        baseline_depth = int(service.scheduler.fusion_min_depth)
+        baseline_depth = int(service.scheduler.controller.fusion_min_depth)
         for _ in range(6):
             governor.tick()
         tightened_target = float(service.scheduler.controller.target_p95_s)
-        assert service.scheduler.fusion_min_depth > baseline_depth
+        assert service.scheduler.controller.fusion_min_depth > baseline_depth
         governor._p95_source = _Script([0.001] * 40)  # deep headroom
         for _ in range(40):
             governor.tick()
-        assert service.scheduler.fusion_min_depth == baseline_depth
+        assert service.scheduler.controller.fusion_min_depth == baseline_depth
         assert service.scheduler.controller.target_p95_s > tightened_target
         relax_reasons = {
             e["reason"] for e in governor.events if "headroom" in e["reason"]

@@ -91,7 +91,14 @@ class TestLifecycle:
 
             pong = _run(go())
             assert pong["type"] == "pong"
-            snap = gateway.snapshot()
+            # The server counts the close on its loop thread once it
+            # reads EOF, which may trail the client's exit.
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                snap = gateway.snapshot()
+                if snap["connections_open"] == 0:
+                    break
+                time.sleep(0.01)
             assert snap["connections_opened"] == 1
             assert snap["connections_open"] == 0  # closed on exit
 

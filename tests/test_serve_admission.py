@@ -170,17 +170,10 @@ class TestBatchingAndShutdown:
 
 
 class TestEagerSingle:
-    def test_lone_item_skips_the_linger(self):
-        queue = AdmissionQueue(capacity=8, eager_single=True)
-        queue.offer(_item("a", "0"))
-        started = time.monotonic()
-        batch, _ = queue.take(4, wait_timeout=0.5, batch_wait=0.25)
-        # The 0.25s batch-fill linger is bypassed at depth 1.
-        assert time.monotonic() - started < 0.2
-        assert [i.request.request_id for i in batch] == ["0"]
+    """The fixed ``batch_wait`` linger: it waits for company at any depth."""
 
     def test_two_queued_items_still_linger_and_fuse(self):
-        queue = AdmissionQueue(capacity=8, eager_single=True)
+        queue = AdmissionQueue(capacity=8)
         queue.offer(_item("a", "0"))
         queue.offer(_item("b", "1"))
 
@@ -196,7 +189,6 @@ class TestEagerSingle:
 
     def test_off_by_default_at_the_queue(self):
         queue = AdmissionQueue(capacity=8)
-        assert queue.eager_single is False
         queue.offer(_item("a", "0"))
 
         late = threading.Timer(0.02, lambda: queue.offer(_item("b", "1")))
@@ -205,5 +197,5 @@ class TestEagerSingle:
             batch, _ = queue.take(4, wait_timeout=0.5, batch_wait=0.5)
         finally:
             late.join()
-        # Without eager_single a lone item lingers for company.
+        # A lone item lingers for company.
         assert len(batch) == 2

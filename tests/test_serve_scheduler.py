@@ -249,8 +249,8 @@ class TestFusedMapMatching:
             fmap.match_many(values, [3, 3])
 
 
-class TestSingletonFastPath:
-    """A drained batch of one dispatches through _process_one."""
+class TestOneDispatchPath:
+    """Every drained batch, a batch of one included, runs the fused path."""
 
     def test_lone_request_records_a_size_one_batch(self, scenario):
         net, sniffers, fmap = scenario
@@ -261,11 +261,10 @@ class TestSingletonFastPath:
         assert reply.ok and reply.batch_size == 1
         assert service.metrics.batch_sizes.get(1) == 1
 
-    def test_fast_path_is_bitwise_the_batched_path(self, scenario):
-        # Sequential calls against an idle eager service each drain a
+    def test_size_one_batch_is_bitwise_the_fused_batch(self, scenario):
+        # Sequential calls against an idle service each drain a
         # singleton; the same requests fused into one big batch must
-        # produce the same bits (the fast path reuses the exact batched
-        # functions over lists of one).
+        # produce the same bits (both run the same fused functions).
         net, sniffers, fmap = scenario
         requests = _mixed_requests(net, sniffers)
         service = _service(net, sniffers, fmap, 16)
@@ -278,7 +277,7 @@ class TestSingletonFastPath:
             assert reply.batch_size == 1, request_id
             assert _payload(reply) == _payload(fused[request_id]), request_id
 
-    def test_fast_path_handles_track_steps(self, scenario):
+    def test_size_one_batch_handles_track_steps(self, scenario):
         from repro.serve import TrackStepRequest
 
         net, sniffers, fmap = scenario
@@ -298,3 +297,22 @@ class TestSingletonFastPath:
             ]
         assert all(r.ok and r.batch_size == 1 for r in replies)
         assert all(r.step is not None for r in replies)
+
+    def test_batch_below_fusion_min_depth_is_fused_whole(self, scenario):
+        # fusion_min_depth only bypasses the linger: a batch already
+        # drained below that depth is answered as one fused batch, not
+        # split into single dispatches.
+        net, sniffers, fmap = scenario
+        requests = _mixed_requests(net, sniffers)[:3]
+        service = LocalizationService(
+            net.field, net.positions[sniffers], fingerprint_map=fmap,
+            max_batch=64, max_wait_s=0.002, fusion_min_depth=4,
+        )
+        futures = [service.submit(r) for r in requests]
+        assert service.scheduler.run_once() == 3
+        replies = [f.result(timeout=0) for f in futures]
+        oracle = _replies(_service(net, sniffers, fmap, 1), requests)
+        assert all(r.ok and r.batch_size == 3 for r in replies)
+        assert dict(service.metrics.batch_sizes) == {3: 1}
+        for reply in replies:
+            assert _payload(reply) == _payload(oracle[reply.request_id])
