@@ -28,7 +28,6 @@ Quick start::
 
 from repro.errors import (
     AdmissionError,
-    BackpressureTimeout,
     ConfigurationError,
     ConnectivityError,
     DeadlineExpired,
@@ -85,7 +84,6 @@ from repro.smc import (
 from repro.mobility import Trajectory
 from repro.stream import (
     ReplaySource,
-    SessionManager,
     SyntheticLiveSource,
     TrackingSession,
     run_stream,
@@ -104,7 +102,6 @@ __all__ = [
     "TrackingError",
     "TraceError",
     "StreamError",
-    "BackpressureTimeout",
     "ServeError",
     "AdmissionError",
     "DeadlineExpired",
@@ -151,7 +148,6 @@ __all__ = [
     "ReplaySource",
     "SyntheticLiveSource",
     "TrackingSession",
-    "SessionManager",
     "run_stream",
     "TraceDataset",
     "build_synthetic_dataset",

@@ -8,10 +8,9 @@ batched theta solve (Formula 4.1) — hardware-saturating:
   broadcast (no ``(m*n, 2)`` materialization), chunked, optionally
   float32 evaluator with a closed-form rectangular ray-exit fast path;
 * :mod:`repro.engine.executor` fans chunks, solver row blocks,
-  per-user rankings, fingerprint-map cell batches, and cross-session
-  drains out over a shared worker pool — with the invariant that
-  float64 parallel output is bitwise-equal to serial (disjoint writes,
-  no reduction-order changes);
+  per-user rankings and fingerprint-map cell batches out over a shared
+  worker pool — with the invariant that float64 parallel output is
+  bitwise-equal to serial (disjoint writes, no reduction-order changes);
 * :mod:`repro.engine.benchrunner` records every perf benchmark into a
   machine-readable ``BENCH_*.json`` trajectory.
 

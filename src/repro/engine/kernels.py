@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.engine.config import EngineConfig
 from repro.engine.executor import Engine, resolve_engine
-from repro.errors import ConfigurationError, FaultInjected, WorkerCrashed
+from repro.errors import ConfigurationError, FaultInjected
 from repro.faults.plan import should_fire
 from repro.geometry.field import Field, RectangularField
 
@@ -195,93 +195,6 @@ def _fill_span(
 
 
 # ----------------------------------------------------------------------
-# Process backend: fork workers filling a shared-memory block.
-# ----------------------------------------------------------------------
-def _process_worker(payload) -> None:  # pragma: no cover - exercised via subprocess
-    import os
-    import time
-    from multiprocessing import shared_memory
-
-    # Fork children inherit the armed fault plan; firings counted here
-    # never propagate back to the parent's counters (documented in
-    # repro.faults.plan), so crash/hang faults repeat across retries —
-    # recovery from them is the serve layer's serial fallback.
-    spec = should_fire("engine.worker.crash")
-    if spec is not None:
-        os._exit(1)
-    spec = should_fire("engine.worker.hang")
-    if spec is not None:
-        time.sleep(spec.delay_s)
-
-    shm_name, shape, dtype, field, nodes, d_floor, sinks, start, stop = payload
-    shm = shared_memory.SharedMemory(name=shm_name)
-    try:
-        out = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-        _fill_span(field, nodes, d_floor, sinks, out, start, stop)
-    finally:
-        shm.close()
-
-
-def _fork_available() -> bool:
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _fill_processes(
-    field: Field,
-    nodes: np.ndarray,
-    d_floor: float,
-    sinks: np.ndarray,
-    out: np.ndarray,
-    chunk_size: int,
-    workers: int,
-    watchdog_s: Optional[float] = None,
-) -> None:
-    import multiprocessing
-    from multiprocessing import shared_memory
-
-    total = sinks.shape[0]
-    shm = shared_memory.SharedMemory(create=True, size=max(out.nbytes, 1))
-    try:
-        shared = np.ndarray(out.shape, dtype=out.dtype, buffer=shm.buf)
-        spans = [
-            (start, min(start + chunk_size, total))
-            for start in range(0, total, chunk_size)
-        ]
-        payloads = [
-            (
-                shm.name, out.shape, out.dtype.str, field, nodes, d_floor,
-                sinks, start, stop,
-            )
-            for start, stop in spans
-        ]
-        ctx = multiprocessing.get_context("fork")
-        pool = ctx.Pool(processes=workers)
-        try:
-            # A worker killed mid-task (OOM, segfault, SIGKILL) silently
-            # loses its chunk and a plain pool.map joins forever; the
-            # watchdog turns both death and hang into a typed error.
-            result = pool.map_async(_process_worker, payloads)
-            try:
-                result.get(timeout=watchdog_s)
-            except multiprocessing.TimeoutError:
-                pool.terminate()
-                raise WorkerCrashed(
-                    f"process backend: {len(spans)} kernel chunk(s) not "
-                    f"completed within watchdog_s={watchdog_s}s — a worker "
-                    "died or hung"
-                ) from None
-        finally:
-            pool.terminate()
-            pool.join()
-        out[:] = shared
-    finally:
-        shm.close()
-        shm.unlink()
-
-
-# ----------------------------------------------------------------------
 # Entry point.
 # ----------------------------------------------------------------------
 def evaluate_geometry_kernels(
@@ -340,29 +253,6 @@ def evaluate_geometry_kernels(
     size = cfg.chunk_size if chunk_size is None else int(chunk_size)
     if size < 1:
         raise ConfigurationError(f"chunk_size must be >= 1, got {size}")
-
-    if (
-        cfg.backend == "process"
-        and eng.parallel
-        and m > size
-        and _fork_available()
-    ):
-        def _run_processes() -> None:
-            _fill_processes(
-                field, nodes, floor, sinks, out, size, cfg.workers,
-                watchdog_s=cfg.watchdog_s,
-            )
-
-        if eng.retry_policy is None:
-            _run_processes()
-        else:
-            from repro.faults.retry import call_with_retry
-
-            call_with_retry(
-                _run_processes, eng.retry_policy,
-                label="engine.process_backend evaluation",
-            )
-        return out
 
     eng.run_chunks(
         m,

@@ -54,17 +54,7 @@ class StreamError(ReproError):
     Per-observation problems (malformed readings, out-of-order windows)
     are *not* stream errors — the stream layer skips and counts those.
     This is raised for structural failures: an unusable source, a
-    checkpoint that does not match its session, a closed manager.
-    """
-
-
-class BackpressureTimeout(StreamError):
-    """Block-mode backpressure could not admit a submission in time.
-
-    Raised by :meth:`repro.stream.manager.SessionManager.submit` when
-    the ``block`` policy waited longer than the configured timeout for
-    the queue to drain below capacity. The submission was *not*
-    enqueued; the producer decides whether to retry, shed, or abort.
+    checkpoint that does not match its session.
     """
 
 
@@ -73,21 +63,19 @@ class EngineError(ReproError):
 
     Per-chunk *numerical* problems are not engine errors — kernels
     raise :class:`FittingError`/``FloatingPointError`` style failures
-    that retries can absorb. This covers the executor machinery itself:
-    an unusable backend, a worker pool that cannot complete its spans.
+    that retries can absorb. This covers the execution machinery
+    itself: a worker that dies before it completes its work.
     """
 
 
 class WorkerCrashed(EngineError):
-    """A process-backend worker died or hung mid-evaluation.
+    """A fleet worker process died holding a request.
 
-    Raised by the fork backend's watchdog when the worker pool fails to
-    complete its chunk spans within ``EngineConfig.watchdog_s`` —
-    typically a killed/OOMed worker (its chunk is silently lost by
-    ``multiprocessing.Pool``) or a worker stuck in a hang. The shared
-    output buffer is discarded; callers retry under a
-    :class:`~repro.faults.RetryPolicy` or fall back to the thread/serial
-    path.
+    The exception type behind the ``worker_crashed`` wire error code
+    (:data:`repro.serve.requests.ERROR_WORKER_CRASHED`): the fleet
+    router answers a request with it once the request has outlived
+    ``redelivery_limit`` worker deaths, instead of redelivering it
+    forever.
     """
 
 

@@ -12,10 +12,10 @@ maps by deployment hash (field + sniffer positions + ``d_floor``), so:
   invalidates the old entry: the next ``get_or_build`` builds a fresh
   map, and stale entries age out of the bounded store.
 
-Thread-safe: sessions are drained on a thread pool
-(:class:`repro.stream.manager.SessionManager`), so concurrent
-``get_or_build`` calls for the same deployment must not race a
-half-built map into view. The build itself runs outside the lock only
+Thread-safe: services of one deployment may be constructed from
+several threads (each :class:`repro.serve.LocalizationService` resolves
+its map here), so concurrent ``get_or_build`` calls for the same
+deployment must not race a half-built map into view. The build itself runs outside the lock only
 for distinct deployments.
 """
 

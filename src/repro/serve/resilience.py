@@ -1,11 +1,11 @@
 """Graceful backend degradation for the serve scheduler.
 
 The scheduler normally evaluates fused batches through a parallel
-:class:`~repro.engine.executor.Engine` (thread or process backend).
-When that backend starts failing persistently — a crashing fork worker,
-a wedged pool — retries alone cannot help: the fault follows the
-backend. :class:`BackendGovernor` implements the recovery ladder the
-ISSUE calls graceful degradation:
+:class:`~repro.engine.executor.Engine` (a thread pool). When that
+backend starts failing persistently — a wedged pool, a fault that
+repeats on every retry — retries alone cannot help: the fault follows
+the backend. :class:`BackendGovernor` implements a graceful-degradation
+recovery ladder:
 
 1. Count *consecutive* backend faults; any success resets the streak.
 2. At ``fault_threshold`` consecutive faults, lease the backend out:

@@ -4,8 +4,11 @@ Turns the batch SMC tracker into a long-running service. The paper's
 Algorithm 4.1 is already online — one observation window in, one
 posterior update out — and this package supplies the operational shell:
 observation sources (replay / live simulation / JSONL tail), defensive
-per-session validation, multi-session multiplexing with backpressure,
-checkpoint/resume with exact RNG state, and JSON-exportable metrics.
+per-session validation, checkpoint/resume with exact RNG state, and
+JSON-exportable metrics. Many concurrent sessions are served by
+:meth:`repro.serve.LocalizationService.open_session` plus
+:class:`~repro.serve.TrackStepRequest`\\ s, which step the same
+:class:`TrackingSession` objects on the serve scheduler.
 
 Typical single-session use::
 
@@ -27,9 +30,8 @@ from repro.stream.sources import (
     SyntheticLiveSource,
     observation_to_jsonl,
 )
-from repro.stream.metrics import StreamMetrics, merge_metrics
+from repro.stream.metrics import StreamMetrics
 from repro.stream.session import TrackingSession
-from repro.stream.manager import SessionManager
 from repro.stream.checkpoint import (
     CHECKPOINT_FORMAT,
     load_checkpoint,
@@ -44,9 +46,7 @@ __all__ = [
     "JsonlTailSource",
     "observation_to_jsonl",
     "StreamMetrics",
-    "merge_metrics",
     "TrackingSession",
-    "SessionManager",
     "CHECKPOINT_FORMAT",
     "save_checkpoint",
     "load_checkpoint",

@@ -1,8 +1,7 @@
 """Operational metrics for the streaming tracking service.
 
 Every :class:`~repro.stream.session.TrackingSession` owns a
-:class:`StreamMetrics`; the :class:`~repro.stream.manager.SessionManager`
-aggregates them. Metrics are plain counters plus a bounded latency
+:class:`StreamMetrics`. Metrics are plain counters plus a bounded latency
 reservoir, exportable as JSON for dashboards and the perf-trajectory
 benchmarks.
 """
@@ -58,7 +57,7 @@ class StreamMetrics:
         self.windows_skipped[reason] += 1
 
     def record_drop(self, count: int = 1) -> None:
-        """Account windows shed by queue backpressure before processing."""
+        """Account windows shed before processing (never stepped)."""
         self.windows_dropped += int(count)
 
     # ------------------------------------------------------------------
@@ -98,22 +97,3 @@ class StreamMetrics:
         payload = {k: _nan_safe(v) for k, v in self.to_dict().items()}
         return json.dumps(payload, indent=indent, sort_keys=True)
 
-
-def merge_metrics(metrics_by_session: Dict[str, StreamMetrics]) -> Dict[str, object]:
-    """Fleet-level summary across sessions (for the manager / benchmarks)."""
-    summary: Dict[str, object] = {
-        "sessions": len(metrics_by_session),
-        "windows_processed": sum(
-            m.windows_processed for m in metrics_by_session.values()
-        ),
-        "windows_skipped_total": sum(
-            m.skipped_total for m in metrics_by_session.values()
-        ),
-        "windows_dropped": sum(
-            m.windows_dropped for m in metrics_by_session.values()
-        ),
-        "per_session": {
-            sid: m.to_dict() for sid, m in metrics_by_session.items()
-        },
-    }
-    return summary

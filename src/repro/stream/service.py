@@ -4,7 +4,8 @@
 (``repro track-stream``) and the examples; :func:`resume_or_create`
 implements the crash-recovery contract (load the checkpoint when one
 exists, otherwise build a fresh session). Multi-session deployments
-compose the same pieces through :class:`repro.stream.manager.SessionManager`.
+track through :meth:`repro.serve.LocalizationService.open_session` and
+:class:`~repro.serve.TrackStepRequest`\\ s instead.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ class TrackingSession:
     Parameters
     ----------
     session_id:
-        Stable identifier (used by the manager, checkpoints, metrics).
+        Stable identifier (used by the serve layer, checkpoints, metrics).
     tracker:
         The wrapped SMC tracker. The session owns it: callers must not
         step it directly while the session is live.

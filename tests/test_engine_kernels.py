@@ -65,15 +65,6 @@ def test_parallel_threads_bitwise_equal_serial(field):
     assert np.array_equal(want, got)
 
 
-def test_process_backend_bitwise_equal_serial():
-    field = RectangularField(15, 15)
-    nodes, sinks = _scenario(field, m=4097)  # above the process-path floor
-    want = evaluate_geometry_kernels(field, nodes, sinks, D_FLOOR)
-    with Engine(workers=2, backend="process", chunk_size=1024) as eng:
-        got = evaluate_geometry_kernels(field, nodes, sinks, D_FLOOR, engine=eng)
-    assert np.array_equal(want, got)
-
-
 def test_node_at_sink_degenerate_direction():
     # A sink coincident with a node: the reference pins the ray
     # direction to (1, 0); the broadcast path must reproduce that.

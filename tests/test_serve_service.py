@@ -2,9 +2,9 @@
 
 Covers the reply-delivery invariant under real thread concurrency
 (every submitted request gets exactly one reply, none lost or
-duplicated), session streaming equivalence with the local tracking
-loop, drain-and-checkpoint shutdown with resume, the blocking
-``call`` API, and the metrics HTTP endpoint.
+duplicated), streaming equivalence of one or several interleaved
+sessions with the local tracking loop, drain-and-checkpoint shutdown
+with resume, the blocking ``call`` API, and the metrics HTTP endpoint.
 """
 
 import json
@@ -14,6 +14,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.engine import Engine
 from repro.errors import ConfigurationError, DeadlineExpired
 from repro.fpmap import MapRegistry, build_fingerprint_map
 from repro.geometry import RectangularField
@@ -120,26 +121,47 @@ class TestTrackingSessions:
             net, sniffers, user_count=2, rounds=rounds, rng=3
         ))
 
-    def test_streamed_session_matches_local_loop(self, scenario):
+    @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "engine2"])
+    @pytest.mark.parametrize("sessions", [1, 3])
+    def test_streamed_session_matches_local_loop(
+        self, scenario, sessions, workers
+    ):
         net, sniffers, fmap = scenario
         windows = self._windows(scenario)
-        with _service(scenario) as service:
-            service.open_session("s", user_count=2, config=_CFG, rng=11)
-            for r, obs in enumerate(windows):
-                reply = service.submit(TrackStepRequest(
-                    request_id=f"r{r}", client_id="t", session_id="s",
-                    observation=obs,
-                )).result(timeout=30)
-                assert reply.ok and reply.skip_reason is None
-        local = TrackingSession("local", SequentialMonteCarloTracker(
-            net.field, net.positions[sniffers], 2,
-            config=_CFG, rng=11, fingerprint_map=fmap,
-        ))
-        for obs in windows:
-            local.process(obs)
-        session = service.close_session("s")
-        assert session.windows_consumed == local.windows_consumed
-        assert np.array_equal(session.estimates(), local.estimates())
+        ids = [f"s{k}" for k in range(sessions)]
+        engine = Engine(workers=workers) if workers else None
+        try:
+            with _service(scenario, engine=engine) as service:
+                for k, sid in enumerate(ids):
+                    service.open_session(
+                        sid, user_count=2, config=_CFG, rng=11 + k
+                    )
+                # Round-robin without waiting: window r of every session
+                # is queued before any window r + 1, so batches mix
+                # sessions and each session's steps interleave.
+                futures = [
+                    service.submit(TrackStepRequest(
+                        request_id=f"{sid}-r{r}", client_id="t",
+                        session_id=sid, observation=obs,
+                    ))
+                    for r, obs in enumerate(windows)
+                    for sid in ids
+                ]
+                replies = [f.result(timeout=30) for f in futures]
+        finally:
+            if engine is not None:
+                engine.close()
+        assert all(r.ok and r.skip_reason is None for r in replies)
+        for k, sid in enumerate(ids):
+            local = TrackingSession("local", SequentialMonteCarloTracker(
+                net.field, net.positions[sniffers], 2,
+                config=_CFG, rng=11 + k, fingerprint_map=fmap,
+            ))
+            for obs in windows:
+                local.process(obs)
+            session = service.close_session(sid)
+            assert session.windows_consumed == local.windows_consumed
+            assert np.array_equal(session.estimates(), local.estimates())
 
     def test_skipped_window_is_a_reply_not_an_error(self, scenario):
         windows = self._windows(scenario)
