@@ -6,6 +6,7 @@ import argparse
 from typing import List, Optional
 
 from repro.cli import commands
+from repro.engine.config import EngineConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -583,7 +584,7 @@ def _engine_args(p: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--chunk-size",
         type=int,
-        default=4096,
+        default=EngineConfig.chunk_size,
         help="candidate sinks per kernel-evaluation chunk (bounds the "
         "evaluator's working set)",
     )

@@ -89,17 +89,25 @@ def _axis_exit(u: np.ndarray, o: np.ndarray, lo: float, hi: float) -> np.ndarray
     positive direction component can only cross the high wall at
     ``t > 0`` (the low-wall crossing is behind the origin for in-field
     sinks) and vice versa, so the four-candidate scan collapses to one
-    sign-selected division. The reference validity rule ``isfinite(t)
-    and t > eps`` is applied to the selected candidate, which keeps the
-    result bitwise-equal to the reference for every in-field origin.
+    sign-selected division. Three passes over the ``(c, n)`` block:
+
+    * select the per-row column ``hi - o`` where ``u > 0``, else
+      ``lo - o`` (also for ``u == 0``, whose quotient is then ``±inf``
+      or NaN and is repaired below, as the reference discards it);
+    * one in-place divide by ``u``, the reference's ``(wall - o) / u``;
+    * ``t[~(t > eps)] = inf``, which folds the reference validity rule
+      ``isfinite(t) and t > eps`` into one comparison: NaN, ``-inf`` and
+      ``t <= eps`` all fail ``t > eps``, and a surviving ``+inf`` is the
+      repair value itself.
+
+    The result is bitwise-equal to the reference for every in-field
+    origin.
     """
     scalar = u.dtype.type
-    wall = np.where(u > 0.0, scalar(hi), np.where(u < 0.0, scalar(lo), scalar(np.nan)))
+    t = np.where(u > 0.0, scalar(hi) - o, scalar(lo) - o)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (wall - o) / u
-    invalid = ~(np.isfinite(t) & (t > _EPS))
-    if invalid.any():
-        t[invalid] = np.inf
+        np.divide(t, u, out=t)
+    t[~(t > _EPS)] = np.inf
     return t
 
 
@@ -113,6 +121,8 @@ def _fill_rect_chunk(
     stop: int,
 ) -> None:
     """Closed-form kernels for sink rows ``[start, stop)`` of a rectangle."""
+    if nodes.shape[0] == 0:
+        return  # a (c, 0) block: nothing to fill, and no min/max to take
     one = out.dtype.type(1.0)
     zero = out.dtype.type(0.0)
     sx = sinks[start:stop, 0:1]  # (c, 1)
@@ -123,8 +133,8 @@ def _fill_rect_chunk(
     safe = np.maximum(norms, _EPS)
     np.divide(dx, safe, out=dx)  # dx/dy now hold the unit direction
     np.divide(dy, safe, out=dy)
-    degenerate = norms < _EPS
-    if degenerate.any():
+    if norms.min() < _EPS:
+        degenerate = norms < _EPS
         dx[degenerate] = one
         dy[degenerate] = zero
     tx = _axis_exit(dx, sx, field.xmin, field.xmax)
@@ -138,7 +148,8 @@ def _fill_rect_chunk(
     np.divide(l, d, out=l)
     block = out[start:stop]
     np.maximum(l, zero, out=block)
-    if not np.all(np.isfinite(block)):
+    if not block.max() < np.inf:
+        # NaN or inf somewhere (one max instead of an isfinite pass).
         # Unreachable-boundary pairs (sink within eps of a wall looking
         # along it); the reference raises here — we define them to
         # contribute no flux instead.

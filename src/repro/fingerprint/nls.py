@@ -81,6 +81,17 @@ def coordinate_descent(
 ) -> SweepOutcome:
     """Coordinate-descent composition search over per-user candidate pools.
 
+    Never re-solves an unchanged evaluation: user j's ``(thetas, objs)``
+    depend only on the other users' incumbents, so each one is kept
+    under those incumbent indices and reused whenever a sweep (or the
+    final re-ranking) meets the same neighbourhood again. The greedy
+    initialization's last peel counts as such an evaluation when its
+    fixed stack is in user-index order (always, for K <= 2), and each
+    pool's per-row products are computed once for all sweeps
+    (:meth:`~repro.fingerprint.objective.EvalWorkspace.bind_pool`).
+    RNG consumption is unchanged, so the outcome is bitwise the one of
+    a loop that re-evaluates every visit.
+
     Parameters
     ----------
     objective:
@@ -133,46 +144,74 @@ def coordinate_descent(
                 f"{np.asarray(p).shape[0]} x {objective.sniffer_count} sniffers"
             )
         kernels.append(objective._weight_kernels(raw))
+    target = objective._weighted_target
     workspaces = [EvalWorkspace() for _ in range(K)]
     for j, kern in enumerate(kernels):
         if kern.shape[0] == 0:
             raise ConfigurationError(f"user {j} has an empty candidate pool")
+        workspaces[j].bind_pool(kern, target)
+
+    # ------------------------------------------------------------------
+    # Every evaluation of user j is memoised under the other users'
+    # incumbent indices, the only input that varies between calls: a
+    # sweep that meets an unchanged neighbourhood reuses the earlier
+    # ``(thetas, objs)`` instead of solving it again. The fixed stack
+    # is always in user-index order, so a memo hit is bitwise the call
+    # it replaces.
+    # ------------------------------------------------------------------
+    incumbents = np.zeros(K, dtype=np.int64)
+    memo: List[dict] = [{} for _ in range(K)]
+
+    def _key(j: int) -> Tuple[int, ...]:
+        return tuple(int(incumbents[k]) for k in range(K) if k != j)
+
+    def _evaluation(j: int, eng) -> Tuple[np.ndarray, np.ndarray]:
+        key = _key(j)
+        hit = memo[j].get(key)
+        if hit is None:
+            fixed = (
+                np.stack([kernels[k][incumbents[k]] for k in range(K) if k != j])
+                if K > 1
+                else None
+            )
+            hit = memo[j][key] = objective.evaluate_batch(
+                kernels[j], fixed, workspace=workspaces[j], preweighted=True,
+                engine=eng,
+            )
+        return hit
 
     # ------------------------------------------------------------------
     # Initialization: greedy residual peeling in random user order.
     # ------------------------------------------------------------------
     order = np.arange(K)
     gen.shuffle(order)
-    incumbents = np.zeros(K, dtype=np.int64)
     if init_indices is not None:
         init_indices = np.asarray(init_indices, dtype=np.int64)
         if init_indices.shape != (K,):
             raise ConfigurationError(
                 f"init_indices must have shape ({K},), got {init_indices.shape}"
             )
-        incumbents = init_indices.copy()
+        incumbents[:] = init_indices
     else:
-        chosen: List[int] = []
         fixed_stack: List[np.ndarray] = []
         for j in order:
             fixed = np.asarray(fixed_stack) if fixed_stack else None
-            _, objs = objective.evaluate_batch(
+            peeled = objective.evaluate_batch(
                 kernels[j], fixed, workspace=workspaces[j], preweighted=True,
                 engine=engine,
             )
-            best = int(np.argmin(objs))
+            best = int(np.argmin(peeled[1]))
             incumbents[j] = best
-            chosen.append(best)
             fixed_stack.append(kernels[j][best])
+        # The last-peeled user was fitted against every other user's
+        # incumbent. With that stack in index order (always, for
+        # K <= 2) it is the first sweep's evaluation of that user.
+        if np.all(np.diff(order[:-1]) > 0):
+            memo[order[-1]][_key(order[-1])] = peeled
 
     # ------------------------------------------------------------------
-    # Sweeps. ``evals_valid[j]`` tracks whether user j's stored ranking
-    # was computed against the *current* incumbents of the other users;
-    # any incumbent move invalidates every other user's ranking.
+    # Sweeps.
     # ------------------------------------------------------------------
-    per_user_objectives: List[Optional[np.ndarray]] = [None] * K
-    per_user_thetas: List[Optional[np.ndarray]] = [None] * K
-    evals_valid = [False] * K
     best_objective = np.inf
     best_thetas = np.zeros(K)
 
@@ -180,29 +219,14 @@ def coordinate_descent(
         improved = False
         gen.shuffle(order)
         for j in order:
-            others = [k for k in range(K) if k != j]
-            fixed = (
-                np.stack([kernels[k][incumbents[k]] for k in others])
-                if others
-                else None
-            )
-            thetas, objs = objective.evaluate_batch(
-                kernels[j], fixed, workspace=workspaces[j], preweighted=True,
-                engine=engine,
-            )
-            per_user_objectives[j] = objs
-            per_user_thetas[j] = thetas[:, 0]
-            evals_valid[j] = True
+            thetas, objs = _evaluation(j, engine)
             best = int(np.argmin(objs))
             if objs[best] < best_objective - tol:
                 improved = True
                 best_objective = float(objs[best])
-                if best != incumbents[j]:
-                    incumbents[j] = best
-                    for k in range(K):
-                        if k != j:
-                            evals_valid[k] = False
+                incumbents[j] = best
                 # Reorder thetas back to user order (swept user first).
+                others = [k for k in range(K) if k != j]
                 reordered = np.empty(K)
                 reordered[j] = thetas[best, 0]
                 for pos, k in enumerate(others):
@@ -211,37 +235,22 @@ def coordinate_descent(
         if not improved:
             break
 
-    # Ensure rankings reflect the final incumbents for every user.
-    # Only stale users are re-evaluated — when the loop exits via the
-    # unimproved-sweep break, every ranking already reflects the final
-    # incumbents and this costs nothing.
-    stale = [j for j in range(K) if not evals_valid[j]]
-
-    def _rerank(j: int) -> None:
-        others = [k for k in range(K) if k != j]
-        fixed = (
-            np.stack([kernels[k][incumbents[k]] for k in others]) if others else None
-        )
-        # Inner engine=None: this may already run on an engine worker
-        # (see the nesting rule in repro.engine.executor).
-        thetas, objs = objective.evaluate_batch(
-            kernels[j], fixed, workspace=workspaces[j], preweighted=True
-        )
-        per_user_objectives[j] = objs
-        per_user_thetas[j] = thetas[:, 0]
-
+    # Rankings must reflect the final incumbents for every user. Only
+    # users whose neighbourhood moved after their last evaluation are
+    # solved — after an unimproved sweep that is nobody.
+    stale = [j for j in range(K) if _key(j) not in memo[j]]
     if engine is not None and engine.parallel and len(stale) > 1:
-        engine.map(_rerank, stale)
-    else:
-        for j in stale:
-            _rerank(j)
+        # Inner engine=None: this runs on an engine worker (see the
+        # nesting rule in repro.engine.executor).
+        engine.map(lambda j: _evaluation(j, None), stale)
+    final = [_evaluation(j, None) for j in range(K)]
 
     return SweepOutcome(
         best_indices=incumbents,
         best_thetas=best_thetas,
         best_objective=best_objective,
-        per_user_objectives=[np.asarray(o) for o in per_user_objectives],
-        per_user_thetas=[np.asarray(t) for t in per_user_thetas],
+        per_user_objectives=[objs for _, objs in final],
+        per_user_thetas=[thetas[:, 0] for thetas, _ in final],
     )
 
 

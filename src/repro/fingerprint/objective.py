@@ -38,10 +38,16 @@ class EvalWorkspace:
     to the caller (thetas, objectives) are always freshly allocated —
     only internal scratch is reused, so returned arrays stay valid
     across subsequent calls.
+
+    A workspace can also be bound to one candidate pool
+    (:meth:`bind_pool`): the pool's per-row products ``<c, c>`` and
+    ``<c, target>`` do not depend on the fixed users, so they are
+    computed once and every later solve over that pool reads them.
     """
 
     def __init__(self) -> None:
         self._buffers: dict = {}
+        self._pool: Optional[tuple] = None
 
     def buffer(self, name: str, shape: Tuple[int, ...]) -> np.ndarray:
         buf = self._buffers.get(name)
@@ -49,6 +55,34 @@ class EvalWorkspace:
             buf = np.empty(shape, dtype=float)
             self._buffers[name] = buf
         return buf
+
+    def bind_pool(self, candidates: np.ndarray, target: np.ndarray) -> None:
+        """Compute and keep the per-row products of one candidate pool.
+
+        Solves over exactly these arrays (identity, not equality) then
+        reuse the products; the arrays must not be mutated while bound.
+        """
+        self._pool = (candidates, target) + _row_products(candidates, target)
+
+    def row_products(
+        self, candidates: np.ndarray, target: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(<c, c>, <c, target>)`` per row: the bound ones, else fresh."""
+        pool = self._pool
+        if pool is not None and pool[0] is candidates and pool[1] is target:
+            return pool[2], pool[3]
+        return _row_products(candidates, target)
+
+
+def _row_products(
+    candidates: np.ndarray, target: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    # einsum, not BLAS: each row's value is independent of how the rows
+    # are later split into solve chunks (see _solve_candidate_rows).
+    return (
+        np.einsum("ij,ij->i", candidates, candidates),
+        np.einsum("ij,j->i", candidates, target),
+    )
 
 
 def solve_thetas(kernels: np.ndarray, target: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -272,6 +306,7 @@ def solve_thetas_candidates(
         bf = fixed @ target
         K = 1 + fixed.shape[0]
     ws = workspace if workspace is not None else EvalWorkspace()
+    products = ws.row_products(candidate_kernels, target)
     thetas = np.empty((N, K))
     objectives = np.empty(N)
 
@@ -284,14 +319,14 @@ def solve_thetas_candidates(
         engine.run_chunks(
             N,
             lambda start, stop: _solve_candidate_rows(
-                candidate_kernels, fixed, Aff, bf, target,
+                candidate_kernels, products, fixed, Aff, bf, target,
                 thetas, objectives, start, stop, None, nnls_mode,
             ),
             chunk_size=rows,
         )
         return thetas, objectives
     _solve_candidate_rows(
-        candidate_kernels, fixed, Aff, bf, target,
+        candidate_kernels, products, fixed, Aff, bf, target,
         thetas, objectives, 0, N, ws, nnls_mode,
     )
     return thetas, objectives
@@ -299,6 +334,7 @@ def solve_thetas_candidates(
 
 def _solve_candidate_rows(
     candidates: np.ndarray,
+    products: Tuple[np.ndarray, np.ndarray],
     fixed: Optional[np.ndarray],
     Aff: Optional[np.ndarray],
     bf: Optional[np.ndarray],
@@ -310,7 +346,11 @@ def _solve_candidate_rows(
     ws: Optional[EvalWorkspace],
     nnls_mode: str,
 ) -> None:
-    """Factored-normal-equation solve of candidate rows ``[start, stop)``."""
+    """Factored-normal-equation solve of candidate rows ``[start, stop)``.
+
+    ``products`` holds the whole pool's per-row ``<c, c>`` and
+    ``<c, target>`` (:func:`_row_products`), which every sweep shares.
+    """
     c = candidates[start:stop]
     B, n = c.shape
     F = 0 if fixed is None else fixed.shape[0]
@@ -328,9 +368,9 @@ def _solve_candidate_rows(
     # differently than the full batch — einsum's per-output-element
     # loops make every row's value independent of the chunk split,
     # keeping parallel output bitwise-equal to serial.
-    np.einsum("ij,ij->i", c, c, out=A[:, 0, 0])
-    A[:, 0, 0] += _RIDGE
-    np.einsum("ij,j->i", c, target, out=b[:, 0])
+    cc, ct = products
+    np.add(cc[start:stop], _RIDGE, out=A[:, 0, 0])
+    b[:, 0] = ct[start:stop]
     if F:
         border = np.einsum("ij,kj->ik", c, fixed)  # (B, F)
         A[:, 0, 1:] = border

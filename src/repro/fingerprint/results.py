@@ -76,10 +76,9 @@ class LocalizationResult:
         contenders vote with weight ``1 / objective``. User slots carry
         no identity across compositions (the same physical composition
         can appear with its users permuted), so every fit is aligned to
-        the best fit by a min-cost assignment before averaging.
+        the best fit by a min-cost assignment before averaging. For one
+        user that assignment is the identity and is skipped.
         """
-        from scipy.optimize import linear_sum_assignment
-
         if objective_ratio < 1.0:
             raise ConfigurationError(
                 f"objective_ratio must be >= 1, got {objective_ratio}"
@@ -88,15 +87,20 @@ class LocalizationResult:
         cutoff = best_obj * objective_ratio + 1e-12
         kept = [f for f in self.fits if f.objective <= cutoff]
         reference = kept[0].positions
-        aligned = []
-        for f in kept:
-            cost = np.linalg.norm(
-                f.positions[:, None, :] - reference[None, :, :], axis=2
-            )
-            rows, cols = linear_sum_assignment(cost)
-            permuted = np.empty_like(f.positions)
-            permuted[cols] = f.positions[rows]
-            aligned.append(permuted)
+        if reference.shape[0] == 1:
+            aligned = [f.positions for f in kept]
+        else:
+            from scipy.optimize import linear_sum_assignment
+
+            aligned = []
+            for f in kept:
+                cost = np.linalg.norm(
+                    f.positions[:, None, :] - reference[None, :, :], axis=2
+                )
+                rows, cols = linear_sum_assignment(cost)
+                permuted = np.empty_like(f.positions)
+                permuted[cols] = f.positions[rows]
+                aligned.append(permuted)
         stacked = np.stack(aligned)  # (M', K, 2)
         weights = np.array([1.0 / (f.objective + 1e-9) for f in kept])
         weights = weights / weights.sum()

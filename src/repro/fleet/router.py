@@ -59,6 +59,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.engine.config import EngineConfig
 from repro.errors import ConfigurationError, ServeError, WorkerCrashed
 from repro.fleet.hashring import ConsistentHashRing
 from repro.fleet.metrics import FleetMetrics, merge_worker_snapshots
@@ -176,7 +177,7 @@ class ServeFleet:
         queue_capacity: int = 1024,
         admission_policy: str = "reject",
         engine_workers: int = 0,
-        engine_chunk_size: int = 4096,
+        engine_chunk_size: int = EngineConfig.chunk_size,
     ):
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")

@@ -44,6 +44,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.engine.config import EngineConfig
 from repro.faults.plan import should_fire
 from repro.serve.requests import TrackStepReply, TrackStepRequest
 from repro.serve.service import LocalizationService
@@ -96,7 +97,7 @@ class WorkerSpec:
     queue_capacity: int = 1024
     admission_policy: str = "reject"
     engine_workers: int = 0
-    engine_chunk_size: int = 4096
+    engine_chunk_size: int = EngineConfig.chunk_size
     extra_service_kwargs: dict = dataclass_field(default_factory=dict)
 
     def build_service(self) -> LocalizationService:

@@ -200,6 +200,30 @@ def test_solve_thetas_candidates_parallel_bitwise_equal_serial():
     assert np.array_equal(want_obj, got_obj)
 
 
+@pytest.mark.parametrize("F", [0, 2])
+def test_bound_pool_products_bitwise_equal_unbound(F):
+    # A workspace bound to the pool serves precomputed per-row products;
+    # serial and split solves over them equal the unbound solve.
+    gen = np.random.default_rng(12)
+    N, n = 3000, 10
+    cand = gen.uniform(0.0, 3.0, (N, n))
+    fixed = gen.uniform(0.0, 3.0, (F, n)) if F else None
+    target = gen.uniform(0.0, 5.0, n)
+    want = solve_thetas_candidates(cand, fixed, target)
+    ws = EvalWorkspace()
+    ws.bind_pool(cand, target)
+    bound = ws.row_products(cand, target)[0]
+    assert ws.row_products(cand, target)[0] is bound
+    assert ws.row_products(cand.copy(), target)[0] is not bound
+    with Engine(workers=4) as eng:
+        for engine in (None, eng):
+            got = solve_thetas_candidates(
+                cand, fixed, target, workspace=ws, engine=engine
+            )
+            assert np.array_equal(want[0], got[0])
+            assert np.array_equal(want[1], got[1])
+
+
 def test_pinv_solve_batched_matches_per_row():
     gen = np.random.default_rng(5)
     A = gen.normal(size=(20, 3, 3))

@@ -2,7 +2,7 @@
 
 The contract under test: every configuration of
 :func:`repro.engine.kernels.evaluate_geometry_kernels` — chunked,
-parallel, process-backed, preallocated output — produces float64 values
+parallel, preallocated output — produces float64 values
 bitwise identical to :func:`reference_geometry_kernels`, the pre-engine
 pair-grid implementation kept as oracle; float32 mode stays within a
 small relative envelope.
@@ -15,7 +15,7 @@ import pytest
 
 from repro.engine import Engine, reference_geometry_kernels
 from repro.engine.kernels import evaluate_geometry_kernels
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, GeometryError
 from repro.geometry import CircularField, PolygonField, RectangularField
 
 D_FLOOR = 0.05
@@ -63,6 +63,62 @@ def test_parallel_threads_bitwise_equal_serial(field):
     with Engine(workers=4, chunk_size=32) as eng:
         got = evaluate_geometry_kernels(field, nodes, sinks, D_FLOOR, engine=eng)
     assert np.array_equal(want, got)
+
+
+LATTICE_FIELDS = [RectangularField(5, 5), RectangularField(6, 4, origin=(-2.0, 1.0))]
+
+
+def _lattice(field):
+    """Every integer point of the field, walls and corners included."""
+    xs = np.arange(field.xmin, field.xmax + 1.0)
+    ys = np.arange(field.ymin, field.ymax + 1.0)
+    return np.array([(x, y) for x in xs for y in ys], dtype=float)
+
+
+def _lattice_reference(field, points):
+    """The reference, row by row, with its one undefined pair pinned to 0.
+
+    A node at a sink on the high-x wall gets the pinned ``(1, 0)`` ray,
+    which starts on the wall it points through; the reference rejects
+    that ray and the engine defines the pair to carry no flux.
+    """
+    rows = []
+    for sink in points:
+        try:
+            rows.append(reference_geometry_kernels(field, points, sink, D_FLOOR)[0])
+        except GeometryError:
+            assert sink[0] == field.xmax
+            here = np.all(points == sink, axis=1)
+            row = np.zeros(len(points))
+            row[~here] = reference_geometry_kernels(
+                field, points[~here], sink, D_FLOOR
+            )[0]
+            rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("chunk_size", [1, 7, 256, 4096, "engine"])
+@pytest.mark.parametrize("field", LATTICE_FIELDS, ids=["square", "offset"])
+def test_edge_lattice_bitwise_equal_reference(field, chunk_size):
+    # Sinks and nodes on one integer lattice: exact u == 0 components,
+    # rays along every wall, rays out of every corner, and every node at
+    # a sink, all through the sign-selected exit and the inf repair.
+    points = _lattice(field)
+    delta = points[None, :, :] - points[:, None, :]
+    assert np.any((delta[..., 0] == 0) & (delta[..., 1] != 0))
+    assert np.any((delta[..., 1] == 0) & (delta[..., 0] != 0))
+    want = _lattice_reference(field, points)
+    if chunk_size == "engine":
+        with Engine(workers=2, chunk_size=7) as eng:
+            got = evaluate_geometry_kernels(
+                field, points, points, D_FLOOR, engine=eng
+            )
+    else:
+        got = evaluate_geometry_kernels(
+            field, points, points, D_FLOOR, chunk_size=chunk_size
+        )
+    assert np.array_equal(want, got)
+    assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
 
 
 def test_node_at_sink_degenerate_direction():

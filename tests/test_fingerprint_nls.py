@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine import Engine
 from repro.errors import ConfigurationError, FittingError
 from repro.fingerprint import (
     DiscCandidates,
@@ -16,7 +17,7 @@ from repro.fingerprint.nls import (
     forward_select_active,
     prune_inactive_users,
 )
-from repro.fingerprint.objective import FluxObjective
+from repro.fingerprint.objective import EvalWorkspace, FluxObjective
 from repro.fluxmodel.discrete import DiscreteFluxModel
 from repro.geometry import RectangularField
 from repro.traffic.measurement import FluxObservation
@@ -140,6 +141,168 @@ class TestCoordinateDescent:
         *_, objective = synthetic_setup
         with pytest.raises(ConfigurationError):
             coordinate_descent(objective, [], rng=0)
+
+
+def _reference_descent(
+    objective, pools, rng, sweeps=4, tol=1e-9, init_indices=None, engine=None
+):
+    """Oracle: the descent loop that re-evaluates on every visit.
+
+    A verbatim copy of the loop :func:`coordinate_descent` replaced:
+    every sweep solves each user against the current incumbents, and
+    the final re-ranking solves every user whose ranking went stale.
+    """
+    gen = np.random.default_rng(rng)
+    K = len(pools)
+    kernels = [
+        objective._weight_kernels(
+            objective.model.geometry_kernels(np.asarray(p, float))
+        )
+        for p in pools
+    ]
+    workspaces = [EvalWorkspace() for _ in range(K)]
+    order = np.arange(K)
+    gen.shuffle(order)
+    incumbents = np.zeros(K, dtype=np.int64)
+    if init_indices is not None:
+        incumbents = np.asarray(init_indices, dtype=np.int64).copy()
+    else:
+        fixed_stack = []
+        for j in order:
+            fixed = np.asarray(fixed_stack) if fixed_stack else None
+            _, objs = objective.evaluate_batch(
+                kernels[j], fixed, workspace=workspaces[j], preweighted=True,
+                engine=engine,
+            )
+            best = int(np.argmin(objs))
+            incumbents[j] = best
+            fixed_stack.append(kernels[j][best])
+    per_user_objectives = [None] * K
+    per_user_thetas = [None] * K
+    evals_valid = [False] * K
+    best_objective = np.inf
+    best_thetas = np.zeros(K)
+    for _ in range(max(1, sweeps)):
+        improved = False
+        gen.shuffle(order)
+        for j in order:
+            others = [k for k in range(K) if k != j]
+            fixed = (
+                np.stack([kernels[k][incumbents[k]] for k in others])
+                if others
+                else None
+            )
+            thetas, objs = objective.evaluate_batch(
+                kernels[j], fixed, workspace=workspaces[j], preweighted=True,
+                engine=engine,
+            )
+            per_user_objectives[j] = objs
+            per_user_thetas[j] = thetas[:, 0]
+            evals_valid[j] = True
+            best = int(np.argmin(objs))
+            if objs[best] < best_objective - tol:
+                improved = True
+                best_objective = float(objs[best])
+                if best != incumbents[j]:
+                    incumbents[j] = best
+                    for k in range(K):
+                        if k != j:
+                            evals_valid[k] = False
+                reordered = np.empty(K)
+                reordered[j] = thetas[best, 0]
+                for pos, k in enumerate(others):
+                    reordered[k] = thetas[best, 1 + pos]
+                best_thetas = reordered
+        if not improved:
+            break
+    for j in range(K):
+        if not evals_valid[j]:
+            others = [k for k in range(K) if k != j]
+            fixed = (
+                np.stack([kernels[k][incumbents[k]] for k in others])
+                if others
+                else None
+            )
+            thetas, objs = objective.evaluate_batch(
+                kernels[j], fixed, workspace=workspaces[j], preweighted=True
+            )
+            per_user_objectives[j] = objs
+            per_user_thetas[j] = thetas[:, 0]
+    return incumbents, best_thetas, best_objective, per_user_objectives, per_user_thetas
+
+
+@pytest.fixture(scope="module")
+def four_user_setup():
+    """A model + noisy observation of 4 users (the descent never hits 0)."""
+    field = RectangularField(15, 15)
+    gen = np.random.default_rng(11)
+    nodes = field.sample_uniform(45, gen)
+    model = DiscreteFluxModel(field, nodes, d_floor=1.0)
+    truth = field.sample_uniform(4, gen)
+    values = np.array([1.0, 2.0, 1.5, 2.5]) @ model.geometry_kernels(truth)
+    values = values * gen.uniform(0.8, 1.2, values.shape)
+    obs = FluxObservation(time=0.0, sniffers=np.arange(45), values=values)
+    return field, model, obs
+
+
+class TestDescentMatchesReEvaluatingOracle:
+    """``coordinate_descent`` reuses evaluations; the bits must not move."""
+
+    @staticmethod
+    def _run(objective, pools, seed, init, engine, monkeypatch):
+        # Spy: no (user, fixed incumbents) evaluation may repeat within
+        # one descent.
+        calls = []
+        evaluate = objective.evaluate_batch
+
+        def spy(candidates, fixed=None, **kwargs):
+            key = (id(candidates), None if fixed is None else fixed.tobytes())
+            assert key not in calls, "an evaluation was solved twice"
+            calls.append(key)
+            return evaluate(candidates, fixed, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(objective, "evaluate_batch", spy)
+            got = coordinate_descent(
+                objective, pools, rng=seed, init_indices=init, engine=engine
+            )
+        want = _reference_descent(
+            objective, pools, seed, init_indices=init, engine=engine
+        )
+        assert np.array_equal(got.best_indices, want[0])
+        assert np.array_equal(got.best_thetas, want[1])
+        assert got.best_objective == want[2]
+        for j in range(len(pools)):
+            assert np.array_equal(got.per_user_objectives[j], want[3][j])
+            assert np.array_equal(got.per_user_thetas[j], want[4][j])
+        return calls
+
+    @pytest.mark.parametrize("weighting", ["absolute", "relative"])
+    @pytest.mark.parametrize("with_init", [False, True])
+    @pytest.mark.parametrize("users", [1, 2, 3, 4])
+    def test_bitwise_equal_oracle(
+        self, four_user_setup, users, with_init, weighting, monkeypatch
+    ):
+        field, model, obs = four_user_setup
+        objective = FluxObjective.from_observation(model, obs, weighting)
+        for seed in range(4):
+            gen = np.random.default_rng(100 + seed)
+            pools = [field.sample_uniform(120, gen) for _ in range(users)]
+            init = gen.integers(0, 120, users) if with_init else None
+            calls = self._run(objective, pools, seed, init, None, monkeypatch)
+            assert len(calls) >= users
+
+    @pytest.mark.parametrize("users", [2, 3])
+    def test_parallel_solve_chunks_bitwise_equal_oracle(
+        self, four_user_setup, users, monkeypatch
+    ):
+        # Pools of >= 2048 rows split each solve across engine workers.
+        field, model, obs = four_user_setup
+        objective = FluxObjective.from_observation(model, obs)
+        gen = np.random.default_rng(7)
+        pools = [field.sample_uniform(2304, gen) for _ in range(users)]
+        with Engine(workers=2) as eng:
+            self._run(objective, pools, 3, None, eng, monkeypatch)
 
 
 class TestEnumerate:

@@ -72,6 +72,36 @@ class TestLocalizationResult:
         with pytest.raises(ConfigurationError):
             result.position_estimates(objective_ratio=0.5)
 
+    @pytest.mark.parametrize("users", [1, 2])
+    def test_position_estimates_equal_assignment_path_bitwise(self, users):
+        # The one-user shortcut skips linear_sum_assignment; it must give
+        # the bits of the assignment path it replaces.
+        from scipy.optimize import linear_sum_assignment
+
+        gen = np.random.default_rng(users)
+        fits = [
+            _fit(gen.uniform(0.0, 15.0, (users, 2)), obj)
+            for obj in 1.0 + 0.4 * gen.random(10)
+        ]
+        result = LocalizationResult(fits=fits)
+        cutoff = result.fits[0].objective * 1.5 + 1e-12
+        kept = [f for f in result.fits if f.objective <= cutoff]
+        reference = kept[0].positions
+        aligned = []
+        for f in kept:
+            cost = np.linalg.norm(
+                f.positions[:, None, :] - reference[None, :, :], axis=2
+            )
+            rows, cols = linear_sum_assignment(cost)
+            permuted = np.empty_like(f.positions)
+            permuted[cols] = f.positions[rows]
+            aligned.append(permuted)
+        weights = np.array([1.0 / (f.objective + 1e-9) for f in kept])
+        weights = weights / weights.sum()
+        want = np.einsum("m,mkc->kc", weights, np.stack(aligned))
+        assert len(kept) > 1
+        assert np.array_equal(result.position_estimates(), want)
+
     def test_errors_to_handles_permutation(self):
         result = LocalizationResult(
             fits=[_fit([[0.0, 0.0], [9.0, 9.0]], 0.1)]
