@@ -7,9 +7,14 @@ shell pipelines; ``--output FILE`` writes machine-readable artifacts.
 
 from __future__ import annotations
 
+import json
+import signal
 import sys
 import threading
+import time
+from collections import Counter
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -69,9 +74,7 @@ class _ShutdownGuard:
     def triggered(self) -> bool:
         return self.event.is_set()
 
-    def install(self) -> "_ShutdownGuard":
-        import signal
-
+    def __enter__(self) -> "_ShutdownGuard":
         def _handle(signum, frame):
             if self.event.is_set():
                 # Second signal: give up gracefulness.
@@ -92,9 +95,7 @@ class _ShutdownGuard:
                 pass  # not the main thread (tests): run unguarded
         return self
 
-    def restore(self) -> None:
-        import signal
-
+    def __exit__(self, *exc) -> None:
         for signum, previous in self._previous.items():
             try:
                 signal.signal(signum, previous)
@@ -102,25 +103,72 @@ class _ShutdownGuard:
                 pass
         self._previous.clear()
 
-    def __enter__(self) -> "_ShutdownGuard":
-        return self.install()
 
-    def __exit__(self, *exc) -> None:
-        self.restore()
+def _fail(message: str) -> NoReturn:
+    """Report ``message`` on stderr and end the command with exit code 1."""
+    print(message, file=sys.stderr)
+    raise SystemExit(1)
 
 
 def _load_fault_plan(args):
     """The ``--fault-plan`` JSON as a FaultPlan, or None without one.
 
-    Raises :class:`~repro.errors.ConfigurationError` on an unreadable
-    or invalid plan file — callers turn that into exit code 1.
+    An unreadable or invalid plan file ends the command with exit code 1.
     """
-    path = getattr(args, "fault_plan", None)
-    if not path:
+    if not args.fault_plan:
         return None
+    from repro.errors import ConfigurationError
     from repro.faults import FaultPlan
 
-    return FaultPlan.load(path)
+    try:
+        return FaultPlan.load(args.fault_plan)
+    except ConfigurationError as exc:
+        _fail(f"cannot load fault plan {args.fault_plan}: {exc}")
+
+
+def _load_map(path):
+    """The fingerprint map at ``path``; an unusable file exits 1."""
+    from repro.errors import ConfigurationError
+    from repro.fpmap import FingerprintMap
+
+    try:
+        return FingerprintMap.load(path)
+    except ConfigurationError as exc:
+        _fail(f"cannot use map {path}: {exc}")
+
+
+def _deployment(args, gen, net=None):
+    """``(net, sniffers, fmap)``: the deployment a command runs on.
+
+    ``net`` is built from the network args unless given. With ``--map``
+    the map's stored sniffer set *is* the deployment it fingerprints
+    (``--percentage`` would sample a different set and fail
+    validation); without one, ``--percentage`` of the nodes are sampled
+    from ``gen``. A map whose sniffer ids do not fit ``net`` exits 1.
+    """
+    if net is None:
+        net = _network_from(args)
+    path = getattr(args, "map", None)
+    if not path:
+        sniffers = sample_sniffers_percentage(net, args.percentage, rng=gen)
+        return net, sniffers, None
+    fmap = _load_map(path)
+    sniffers = np.asarray(fmap.sniffer_ids, dtype=np.int64)
+    if sniffers.size and sniffers.max() >= net.node_count:
+        _fail(
+            f"cannot use map {path}: sniffer ids exceed the "
+            f"{net.node_count}-node network (different deployment args?)"
+        )
+    return net, sniffers, fmap
+
+
+def _write_metrics(args, metrics_json, what="metrics", echo=True) -> None:
+    """Write ``--metrics-out``, or print the JSON when ``echo`` is set."""
+    if args.metrics_out:
+        Path(args.metrics_out).write_text(metrics_json + "\n")
+        print(f"wrote {what} to {args.metrics_out}")
+    elif echo:
+        print(metrics_json)
 
 
 def cmd_simulate(args) -> int:
@@ -185,27 +233,7 @@ def cmd_localize(args) -> int:
     truth, stretches = _place_users(net, args.users, gen)
     flux = simulate_flux(net, list(truth), list(stretches), rng=gen)
 
-    fmap = None
-    if args.map:
-        from repro.fpmap import FingerprintMap
-
-        try:
-            fmap = FingerprintMap.load(args.map)
-        except ConfigurationError as exc:
-            print(f"cannot use map {args.map}: {exc}", file=sys.stderr)
-            return 1
-        # The map's stored sniffer set *is* the deployment it fingerprints;
-        # --percentage would sample a different set and fail validation.
-        sniffers = np.asarray(fmap.sniffer_ids, dtype=np.int64)
-        if sniffers.size and sniffers.max() >= net.node_count:
-            print(
-                f"cannot use map {args.map}: sniffer ids exceed the "
-                f"{net.node_count}-node network (different deployment args?)",
-                file=sys.stderr,
-            )
-            return 1
-    else:
-        sniffers = sample_sniffers_percentage(net, args.percentage, rng=gen)
+    _, sniffers, fmap = _deployment(args, gen, net)
     obs = MeasurementModel(net, sniffers, smooth=True, rng=gen).observe(flux)
 
     localizer = NLSLocalizer(
@@ -225,8 +253,7 @@ def cmd_localize(args) -> int:
             engine=_engine_from(args),
         )
     except ConfigurationError as exc:
-        print(f"cannot use map {args.map}: {exc}", file=sys.stderr)
-        return 1
+        _fail(f"cannot use map {args.map}: {exc}")
     estimates = result.position_estimates()
     errors = result.errors_to(truth)
     tag = f" (map-seeded from {args.map})" if fmap is not None else ""
@@ -324,15 +351,7 @@ def cmd_track_stream(args) -> int:
     net = load_network(args.network) if args.network else _network_from(args)
     truth = None
 
-    fmap = None
-    if args.map:
-        from repro.fpmap import FingerprintMap
-
-        try:
-            fmap = FingerprintMap.load(args.map)
-        except ConfigurationError as exc:
-            print(f"cannot use map {args.map}: {exc}", file=sys.stderr)
-            return 1
+    fmap = _load_map(args.map) if args.map else None
 
     if args.input:
         source = ReplaySource.from_npz(args.input)
@@ -417,12 +436,7 @@ def cmd_track_stream(args) -> int:
                 f"objective={step.objective:.3f}"
             )
 
-    try:
-        plan = _load_fault_plan(args)
-    except ConfigurationError as exc:
-        print(f"cannot load fault plan {args.fault_plan}: {exc}",
-              file=sys.stderr)
-        return 1
+    plan = _load_fault_plan(args)
     try:
         from repro.faults import RetryPolicy, injected
 
@@ -450,12 +464,7 @@ def cmd_track_stream(args) -> int:
     print("final estimates:")
     for i, (x, y) in enumerate(estimates):
         print(f"  user {i}: ({x:6.2f}, {y:6.2f})")
-    metrics_json = session.metrics.to_json()
-    if args.metrics_out:
-        Path(args.metrics_out).write_text(metrics_json + "\n")
-        print(f"wrote metrics to {args.metrics_out}")
-    else:
-        print(metrics_json)
+    _write_metrics(args, session.metrics.to_json())
     return 0
 
 
@@ -534,77 +543,42 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    import threading
-    import time
+def _ms_to_s(ms):
+    return None if ms is None else ms / 1000.0
 
-    from repro.errors import ConfigurationError
-    from repro.serve import (
-        LocalizationService,
-        LocalizeRequest,
-        MetricsServer,
-        TrackStepRequest,
+
+def _serving_knobs(args, fmap) -> dict:
+    """Keyword arguments shared by a LocalizationService and a ServeFleet."""
+    return dict(
+        d_floor=fmap.d_floor if fmap is not None else 1.0,
+        fingerprint_map=fmap,
+        map_resolution=args.map_resolution if fmap is None else None,
+        max_batch=args.max_batch,
+        max_wait_s=args.max_wait_ms / 1000.0,
+        adaptive=not getattr(args, "no_adaptive", False),
+        target_p95_s=_ms_to_s(args.target_p95_ms),
+        fusion_min_depth=args.fusion_min_depth,
+        queue_capacity=args.queue_capacity,
+        admission_policy=args.policy,
     )
 
-    gen = as_generator(args.seed)
-    net = _network_from(args)
 
-    fmap = None
-    if args.map:
-        from repro.fpmap import FingerprintMap
+def _serving_load(args, net, sniffers, gen):
+    """Pre-generate the synthetic load on the main thread.
 
-        try:
-            fmap = FingerprintMap.load(args.map)
-        except ConfigurationError as exc:
-            print(f"cannot use map {args.map}: {exc}", file=sys.stderr)
-            return 1
-        sniffers = np.asarray(fmap.sniffer_ids, dtype=np.int64)
-        if sniffers.size and sniffers.max() >= net.node_count:
-            print(
-                f"cannot use map {args.map}: sniffer ids exceed the "
-                f"{net.node_count}-node network (different deployment args?)",
-                file=sys.stderr,
-            )
-            return 1
-    else:
-        sniffers = sample_sniffers_percentage(net, args.percentage, rng=gen)
+    Returns ``(clients, tracks)``: one ``(requests, truths)`` pair of
+    localize requests and true user positions per client, and one
+    ``(session_id, seed, windows)`` triple per tracking session. Each
+    session gets its own integer seed, so its tracker state does not
+    depend on the order in which concurrent steps reach the backend.
+    The submitting threads never touch ``gen``.
+    """
+    from repro.serve import LocalizeRequest
+    from repro.stream import SyntheticLiveSource
 
-    try:
-        service = LocalizationService(
-            net.field,
-            net.positions[sniffers],
-            d_floor=fmap.d_floor if fmap is not None else 1.0,
-            engine=_engine_from(args),
-            fingerprint_map=fmap,
-            map_resolution=args.map_resolution if fmap is None else None,
-            max_batch=args.max_batch,
-            max_wait_s=args.max_wait_ms / 1000.0,
-            adaptive=not args.no_adaptive,
-            target_p95_s=(
-                args.target_p95_ms / 1000.0
-                if args.target_p95_ms is not None else None
-            ),
-            fusion_min_depth=args.fusion_min_depth,
-            queue_capacity=args.queue_capacity,
-            admission_policy=args.policy,
-        )
-    except ConfigurationError as exc:
-        print(f"cannot build service: {exc}", file=sys.stderr)
-        return 1
-    try:
-        plan = _load_fault_plan(args)
-    except ConfigurationError as exc:
-        print(f"cannot load fault plan {args.fault_plan}: {exc}",
-              file=sys.stderr)
-        return 1
-    deadline_s = (
-        args.deadline_ms / 1000.0 if args.deadline_ms is not None else None
-    )
-
-    # Pre-generate every client's workload on the main thread so the
-    # client threads only submit and wait (the RNG is not shared).
+    deadline_s = _ms_to_s(getattr(args, "deadline_ms", None))
     measure = MeasurementModel(net, sniffers, smooth=True, rng=gen)
-    localize_work = []  # (client, requests, truths)
+    clients = []
     for c in range(args.clients):
         requests, truths = [], []
         for r in range(args.requests):
@@ -623,275 +597,194 @@ def cmd_serve(args) -> int:
                 )
             )
             truths.append(truth)
-        localize_work.append((f"client-{c}", requests, truths))
-
-    track_work = []  # (session_id, observations)
+        clients.append((requests, truths))
+    tracks = []
     for t in range(args.track_sessions):
-        from repro.stream import SyntheticLiveSource
-
         live = SyntheticLiveSource(
-            net,
-            sniffers,
-            user_count=args.users,
-            rounds=args.requests,
+            net, sniffers, user_count=args.users, rounds=args.requests,
             rng=gen,
         )
-        session_id = f"track-{t}"
-        service.open_session(session_id, args.users, rng=gen)
-        track_work.append((session_id, list(live)))
+        tracks.append((f"track-{t}", int(gen.integers(2**31)), list(live)))
+    return clients, tracks
+
+
+def _drive_threads(backend, clients, tracks, guard, deadline_s=None):
+    """Submit the load through ``backend.submit`` from one thread per
+    client and per tracking session, each waiting on its replies.
+
+    Returns ``(elapsed_s, ok, error_codes, errors)``: the ok-reply
+    count, a Counter of error codes and each ok localize reply's mean
+    error against its truth.
+    """
+    from repro.serve import TrackStepRequest
 
     lock = threading.Lock()
-    ok_replies, error_codes, errors = [], [], []
-    guard = _ShutdownGuard()
+    ok, codes, errors = 0, Counter(), []
 
-    def run_localize(client_id, requests, truths):
+    def record(reply, truth=None):
+        nonlocal ok
+        with lock:
+            if not reply.ok:
+                codes[reply.code] += 1
+                return
+            ok += 1
+            if truth is not None:
+                errors.append(reply.result.errors_to(truth).mean())
+
+    def run_localize(requests, truths):
         for request, truth in zip(requests, truths):
             if guard.triggered:
                 return
-            reply = service.submit(request).result()
-            with lock:
-                if reply.ok:
-                    ok_replies.append(reply)
-                    errors.append(reply.result.errors_to(truth).mean())
-                else:
-                    error_codes.append(reply.code)
+            record(backend.submit(request).result(), truth)
 
-    def run_track(session_id, observations):
-        for r, obs in enumerate(observations):
+    def run_track(session_id, windows):
+        for r, obs in enumerate(windows):
             if guard.triggered:
                 return
-            reply = service.submit(
-                TrackStepRequest(
-                    request_id=f"{session_id}-r{r}",
-                    client_id=session_id,
-                    session_id=session_id,
-                    observation=obs,
-                    deadline_s=deadline_s,
-                )
-            ).result()
-            with lock:
-                if reply.ok:
-                    ok_replies.append(reply)
-                else:
-                    error_codes.append(reply.code)
-
-    endpoint = None
-    if args.metrics_port is not None:
-        endpoint = MetricsServer(service.metrics, port=args.metrics_port)
-        print(f"metrics on http://127.0.0.1:{endpoint.start()}/metrics")
+            record(backend.submit(TrackStepRequest(
+                request_id=f"{session_id}-r{r}",
+                client_id=session_id,
+                session_id=session_id,
+                observation=obs,
+                deadline_s=deadline_s,
+            )).result())
 
     threads = [
-        threading.Thread(target=run_localize, args=work, name=work[0])
-        for work in localize_work
+        threading.Thread(target=run_localize, args=work, name=f"client-{c}")
+        for c, work in enumerate(clients)
     ] + [
-        threading.Thread(target=run_track, args=work, name=work[0])
-        for work in track_work
+        threading.Thread(target=run_track, args=(sid, windows), name=sid)
+        for sid, _, windows in tracks
     ]
+    start = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return time.perf_counter() - start, ok, codes, errors
+
+
+def _metrics_endpoint(args, metrics=None, fleet=None):
+    """Start ``GET /metrics`` when ``--metrics-port`` asks for one."""
+    if args.metrics_port is None:
+        return None
+    from repro.serve import MetricsServer
+
+    endpoint = MetricsServer(metrics, port=args.metrics_port, fleet=fleet)
+    print(f"metrics on http://127.0.0.1:{endpoint.start()}/metrics")
+    return endpoint
+
+
+def _print_outcome(guard, plan) -> None:
+    if guard.triggered:
+        print("drained after shutdown signal")
+    if plan is not None:
+        print(f"fault plan: {plan.summary()}")
+
+
+def _print_replies(elapsed, ok, codes, errors=(), rate="", tail="") -> None:
+    errored = sum(codes.values())
+    total = ok + errored
+    rps = total / elapsed if elapsed > 0 else float("nan")
+    print(
+        f"{total} replies in {elapsed:.2f}s ({rps:.0f} req/s{rate}): "
+        f"{ok} ok, {errored} errors{tail}"
+    )
+    for code, count in sorted(codes.items()):
+        print(f"  {code}: {count}")
+    if errors:
+        print(f"mean localization error {np.mean(errors):.2f}")
+
+
+def _service(args, net, sniffers, fmap):
+    from repro.errors import ConfigurationError
+    from repro.serve import LocalizationService
+
+    try:
+        return LocalizationService(
+            net.field,
+            net.positions[sniffers],
+            engine=_engine_from(args),
+            **_serving_knobs(args, fmap),
+        )
+    except ConfigurationError as exc:
+        _fail(f"cannot build service: {exc}")
+
+
+def cmd_serve(args) -> int:
+    from repro.faults import injected
+
+    gen = as_generator(args.seed)
+    net, sniffers, fmap = _deployment(args, gen)
+    service = _service(args, net, sniffers, fmap)
+    plan = _load_fault_plan(args)
+    clients, tracks = _serving_load(args, net, sniffers, gen)
+    for session_id, seed, _ in tracks:
+        service.open_session(session_id, args.users, rng=seed)
+
+    guard = _ShutdownGuard()
+    endpoint = _metrics_endpoint(args, service.metrics)
     map_tag = " (map-seeded)" if service.fingerprint_map is not None else ""
     print(
-        f"serving {len(localize_work)} localize clients x {args.requests} "
-        f"requests + {len(track_work)} tracking sessions on "
+        f"serving {len(clients)} localize clients x {args.requests} "
+        f"requests + {len(tracks)} tracking sessions on "
         f"{sniffers.size}/{net.node_count} sniffed nodes{map_tag}; "
         f"max_batch={args.max_batch} max_wait={args.max_wait_ms:g}ms "
         f"batching={'fixed' if args.no_adaptive else 'adaptive'} "
         f"policy={args.policy}"
     )
-    from repro.faults import injected
-
     with injected(plan), guard:
         service.start()
-        start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - start
+        report = _drive_threads(
+            service, clients, tracks, guard, _ms_to_s(args.deadline_ms)
+        )
         summary = service.stop(checkpoint_dir=args.checkpoint_dir)
-    if guard.triggered:
-        print("drained after shutdown signal")
     if endpoint is not None:
         endpoint.stop()
-    if plan is not None:
-        print(f"fault plan: {plan.summary()}")
-
-    total = len(ok_replies) + len(error_codes)
-    rps = total / elapsed if elapsed > 0 else float("nan")
-    print(
-        f"{total} replies in {elapsed:.2f}s ({rps:.0f} req/s): "
-        f"{len(ok_replies)} ok, {len(error_codes)} errors"
-    )
-    if error_codes:
-        from collections import Counter
-
-        for code, count in sorted(Counter(error_codes).items()):
-            print(f"  {code}: {count}")
-    if errors:
-        print(f"mean localization error {np.mean(errors):.2f}")
+    _print_outcome(guard, plan)
+    _print_replies(*report)
     for session_id, path in sorted(summary["checkpoints"].items()):
         print(f"checkpointed {session_id} -> {path}")
-    metrics_json = service.metrics.to_json()
-    if args.metrics_out:
-        Path(args.metrics_out).write_text(metrics_json + "\n")
-        print(f"wrote metrics to {args.metrics_out}")
-    else:
-        print(metrics_json)
+    _write_metrics(args, service.metrics.to_json())
     return 0
 
 
 def cmd_fleet(args) -> int:
-    import threading
-    import time
-
     from repro.errors import ConfigurationError
+    from repro.faults import injected
     from repro.fleet import ServeFleet
-    from repro.serve import LocalizeRequest, MetricsServer, TrackStepRequest
+    from repro.serve.metrics import _nan_safe_deep
 
     gen = as_generator(args.seed)
-    net = _network_from(args)
-
-    fmap = None
-    if args.map:
-        from repro.fpmap import FingerprintMap
-
-        try:
-            fmap = FingerprintMap.load(args.map)
-        except ConfigurationError as exc:
-            print(f"cannot use map {args.map}: {exc}", file=sys.stderr)
-            return 1
-        sniffers = np.asarray(fmap.sniffer_ids, dtype=np.int64)
-        if sniffers.size and sniffers.max() >= net.node_count:
-            print(
-                f"cannot use map {args.map}: sniffer ids exceed the "
-                f"{net.node_count}-node network (different deployment args?)",
-                file=sys.stderr,
-            )
-            return 1
-    else:
-        sniffers = sample_sniffers_percentage(net, args.percentage, rng=gen)
-
+    net, sniffers, fmap = _deployment(args, gen)
     try:
         fleet = ServeFleet(
             net.field,
             net.positions[sniffers],
-            d_floor=fmap.d_floor if fmap is not None else 1.0,
             workers=args.fleet_workers,
-            fingerprint_map=fmap,
-            map_resolution=args.map_resolution if fmap is None else None,
             map_mode=args.map_mode,
             cluster_cells=args.cluster_cells,
             checkpoint_dir=args.checkpoint_dir,
-            max_batch=args.max_batch,
-            max_wait_s=args.max_wait_ms / 1000.0,
-            adaptive=not args.no_adaptive,
-            target_p95_s=(
-                args.target_p95_ms / 1000.0
-                if args.target_p95_ms is not None else None
-            ),
-            fusion_min_depth=args.fusion_min_depth,
-            queue_capacity=args.queue_capacity,
-            admission_policy=args.policy,
             engine_workers=args.workers,
             engine_chunk_size=args.chunk_size,
+            **_serving_knobs(args, fmap),
         )
     except ConfigurationError as exc:
-        print(f"cannot build fleet: {exc}", file=sys.stderr)
-        return 1
-    try:
-        plan = _load_fault_plan(args)
-    except ConfigurationError as exc:
-        print(f"cannot load fault plan {args.fault_plan}: {exc}",
-              file=sys.stderr)
-        return 1
+        _fail(f"cannot build fleet: {exc}")
+    plan = _load_fault_plan(args)
+    clients, tracks = _serving_load(args, net, sniffers, gen)
 
-    # Pre-generate every client's workload on the main thread (the RNG
-    # is not shared with the submission threads).
-    measure = MeasurementModel(net, sniffers, smooth=True, rng=gen)
-    localize_work = []  # (client, requests, truths)
-    for c in range(args.clients):
-        requests, truths = [], []
-        for r in range(args.requests):
-            truth, stretches = _place_users(net, args.users, gen)
-            flux = simulate_flux(net, list(truth), list(stretches), rng=gen)
-            requests.append(
-                LocalizeRequest(
-                    request_id=f"c{c}-r{r}",
-                    client_id=f"client-{c}",
-                    observation=measure.observe(flux),
-                    user_count=args.users,
-                    candidate_count=args.candidates,
-                    restarts=args.restarts,
-                    seed=int(gen.integers(2**31)),
-                )
-            )
-            truths.append(truth)
-        localize_work.append((f"client-{c}", requests, truths))
-
-    track_work = []  # (session_id, seed, observations)
-    for t in range(args.track_sessions):
-        from repro.stream import SyntheticLiveSource
-
-        live = SyntheticLiveSource(
-            net,
-            sniffers,
-            user_count=args.users,
-            rounds=args.requests,
-            rng=gen,
-        )
-        track_work.append((f"track-{t}", int(gen.integers(2**31)), list(live)))
-
-    lock = threading.Lock()
-    ok_replies, error_codes, errors = [], [], []
     guard = _ShutdownGuard()
-
-    def run_localize(client_id, requests, truths):
-        for request, truth in zip(requests, truths):
-            if guard.triggered:
-                return
-            reply = fleet.submit(request).result()
-            with lock:
-                if reply.ok:
-                    ok_replies.append(reply)
-                    errors.append(reply.result.errors_to(truth).mean())
-                else:
-                    error_codes.append(reply.code)
-
-    def run_track(session_id, seed, observations):
-        for r, obs in enumerate(observations):
-            if guard.triggered:
-                return
-            reply = fleet.submit(
-                TrackStepRequest(
-                    request_id=f"{session_id}-r{r}",
-                    client_id=session_id,
-                    session_id=session_id,
-                    observation=obs,
-                )
-            ).result()
-            with lock:
-                if reply.ok:
-                    ok_replies.append(reply)
-                else:
-                    error_codes.append(reply.code)
-
-    threads = [
-        threading.Thread(target=run_localize, args=work, name=work[0])
-        for work in localize_work
-    ] + [
-        threading.Thread(target=run_track, args=work, name=work[0])
-        for work in track_work
-    ]
     map_tag = (
         f" ({args.map_mode} map)" if fleet.fingerprint_map is not None else ""
     )
     print(
         f"fleet of {args.fleet_workers} workers serving "
-        f"{len(localize_work)} localize clients x {args.requests} requests "
-        f"+ {len(track_work)} tracking sessions on "
+        f"{len(clients)} localize clients x {args.requests} requests "
+        f"+ {len(tracks)} tracking sessions on "
         f"{sniffers.size}/{net.node_count} sniffed nodes{map_tag}; "
         f"max_batch={args.max_batch} policy={args.policy}"
     )
-    from repro.faults import injected
-
     # Arm only across start(): forked workers inherit the armed plan,
     # so worker-side sites (fleet.worker.exit) fire in the children.
     # Disarm before driving traffic — replacements forked at failover
@@ -901,59 +794,28 @@ def cmd_fleet(args) -> int:
         fleet.start()
     try:
         with guard:
-            endpoint = None
-            if args.metrics_port is not None:
-                endpoint = MetricsServer(fleet=fleet, port=args.metrics_port)
-                print(
-                    f"metrics on http://127.0.0.1:{endpoint.start()}/metrics"
-                )
-            for session_id, seed, _ in track_work:
+            endpoint = _metrics_endpoint(args, fleet=fleet)
+            for session_id, seed, _ in tracks:
                 fleet.open_session(session_id, args.users, seed=seed)
-            start = time.perf_counter()
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            elapsed = time.perf_counter() - start
+            report = _drive_threads(fleet, clients, tracks, guard)
             snapshot = fleet.fleet_snapshot()
             if endpoint is not None:
                 endpoint.stop()
     finally:
         fleet.stop()
-    if guard.triggered:
-        print("drained after shutdown signal")
-    if plan is not None:
-        print(f"fault plan: {plan.summary()}")
-
-    total = len(ok_replies) + len(error_codes)
-    rps = total / elapsed if elapsed > 0 else float("nan")
+    _print_outcome(guard, plan)
     router = snapshot["router"]
-    print(
-        f"{total} replies in {elapsed:.2f}s ({rps:.0f} req/s aggregate): "
-        f"{len(ok_replies)} ok, {len(error_codes)} errors; "
-        f"{router['worker_deaths']} worker deaths, "
+    _print_replies(
+        *report,
+        rate=" aggregate",
+        tail=f"; {router['worker_deaths']} worker deaths, "
         f"{router['redeliveries']} redeliveries, "
-        f"{router['migrations']} migrations"
+        f"{router['migrations']} migrations",
     )
-    if error_codes:
-        from collections import Counter
-
-        for code, count in sorted(Counter(error_codes).items()):
-            print(f"  {code}: {count}")
-    if errors:
-        print(f"mean localization error {np.mean(errors):.2f}")
-    import json
-
-    from repro.serve.metrics import _nan_safe_deep
-
     metrics_json = json.dumps(
         _nan_safe_deep(snapshot), indent=2, sort_keys=True
     )
-    if args.metrics_out:
-        Path(args.metrics_out).write_text(metrics_json + "\n")
-        print(f"wrote fleet metrics to {args.metrics_out}")
-    else:
-        print(metrics_json)
+    _write_metrics(args, metrics_json, what="fleet metrics")
     return 0
 
 
@@ -981,13 +843,9 @@ def _print_stage_table(stages: dict) -> None:
         )
 
 
-def _drive_gateway(
-    args, host, port, localize_work, track_work, deadline_s, guard=None
-) -> int:
+def _drive_gateway(args, host, port, clients, tracks, guard) -> int:
     """Drive the pre-generated load through a gateway over real sockets."""
     import asyncio
-    import time
-    from collections import Counter
 
     from repro.errors import GatewayError
     from repro.gateway import GatewayClient
@@ -995,25 +853,27 @@ def _drive_gateway(
     counts = {"ok": 0, "dead": 0}
     error_codes: Counter = Counter()
 
-    async def localize_client(c, obs_list):
+    def record(reply):
+        if reply.get("ok"):
+            counts["ok"] += 1
+        else:
+            error_codes[reply.get("code", "unknown")] += 1
+
+    async def localize_client(c, requests):
         client = GatewayClient(host, port, f"client-{c}")
         try:
             await client.connect()
-            for obs, seed in obs_list:
-                if guard is not None and guard.triggered:
+            for request in requests:
+                if guard.triggered:
                     break
-                reply = await client.localize(
-                    obs,
-                    user_count=args.users,
-                    candidate_count=args.candidates,
-                    restarts=args.restarts,
-                    seed=seed,
-                    deadline_s=deadline_s,
-                )
-                if reply.get("ok"):
-                    counts["ok"] += 1
-                else:
-                    error_codes[reply.get("code", "unknown")] += 1
+                record(await client.localize(
+                    request.observation,
+                    user_count=request.user_count,
+                    candidate_count=request.candidate_count,
+                    restarts=request.restarts,
+                    seed=request.seed,
+                    deadline_s=request.deadline_s,
+                ))
         except (GatewayError, asyncio.TimeoutError, OSError):
             counts["dead"] += 1
         finally:
@@ -1030,13 +890,9 @@ def _drive_gateway(
                 error_codes[opened.get("code", "unknown")] += 1
                 return
             for obs in windows:
-                if guard is not None and guard.triggered:
+                if guard.triggered:
                     break
-                reply = await client.track_step(session_id, obs)
-                if reply.get("ok"):
-                    counts["ok"] += 1
-                else:
-                    error_codes[reply.get("code", "unknown")] += 1
+                record(await client.track_step(session_id, obs))
         except (GatewayError, asyncio.TimeoutError, OSError):
             counts["dead"] += 1
         finally:
@@ -1045,11 +901,11 @@ def _drive_gateway(
     async def main():
         start = time.perf_counter()
         jobs = [
-            localize_client(c, obs_list)
-            for c, obs_list in enumerate(localize_work)
+            localize_client(c, requests)
+            for c, (requests, _) in enumerate(clients)
         ] + [
             track_client(session_id, seed, windows)
-            for session_id, seed, windows in track_work
+            for session_id, seed, windows in tracks
         ]
         await asyncio.gather(*jobs)
         elapsed = time.perf_counter() - start
@@ -1067,102 +923,38 @@ def _drive_gateway(
     except ConnectionRefusedError as exc:
         print(f"cannot reach gateway {host}:{port}: {exc}", file=sys.stderr)
         return 1
-    total = counts["ok"] + sum(error_codes.values())
-    rps = total / elapsed if elapsed > 0 else float("nan")
-    print(
-        f"{total} replies in {elapsed:.2f}s ({rps:.0f} req/s over the "
-        f"wire): {counts['ok']} ok, {sum(error_codes.values())} errors, "
-        f"{counts['dead']} dead connections"
+    _print_replies(
+        elapsed, counts["ok"], error_codes, rate=" over the wire",
+        tail=f", {counts['dead']} dead connections",
     )
-    for code, count in sorted(error_codes.items()):
-        print(f"  {code}: {count}")
     _print_stage_table(stages)
     return 0
 
 
 def cmd_gateway(args) -> int:
-    import time
-
-    from repro.errors import ConfigurationError
     from repro.faults import injected
     from repro.gateway import GatewayGovernor, GatewayServer
-    from repro.serve import LocalizationService, MetricsServer
 
     gen = as_generator(args.seed)
-    net = _network_from(args)
-    sniffers = sample_sniffers_percentage(net, args.percentage, rng=gen)
-    measure = MeasurementModel(net, sniffers, smooth=True, rng=gen)
-    deadline_s = (
-        args.deadline_ms / 1000.0 if args.deadline_ms is not None else None
-    )
-
-    # Pre-generate the synthetic load. Both modes use it: the serve
-    # mode drives its own gateway, --connect drives a remote one (built
-    # from the same network args, so the observations match the remote
-    # deployment when the seeds match).
-    localize_work = []
-    for c in range(args.clients):
-        obs_list = []
-        for _ in range(args.requests):
-            truth, stretches = _place_users(net, args.users, gen)
-            flux = simulate_flux(net, list(truth), list(stretches), rng=gen)
-            obs_list.append(
-                (measure.observe(flux), int(gen.integers(2**31)))
-            )
-        localize_work.append(obs_list)
-    track_work = []
-    for t in range(args.track_sessions):
-        from repro.stream import SyntheticLiveSource
-
-        live = SyntheticLiveSource(
-            net, sniffers, user_count=args.users,
-            rounds=args.requests, rng=gen,
-        )
-        track_work.append(
-            (f"track-{t}", int(gen.integers(2**31)), list(live))
-        )
+    net, sniffers, _ = _deployment(args, gen)
+    # Both modes drive the same load: the serve mode its own gateway,
+    # --connect a remote one (built from the same network args, so the
+    # observations match the remote deployment when the seeds match).
+    clients, tracks = _serving_load(args, net, sniffers, gen)
 
     if args.connect:
         host, _, port_text = args.connect.rpartition(":")
         try:
             port = int(port_text)
         except ValueError:
-            print(
-                f"--connect needs HOST:PORT, got {args.connect!r}",
-                file=sys.stderr,
-            )
-            return 1
+            _fail(f"--connect needs HOST:PORT, got {args.connect!r}")
         with _ShutdownGuard() as guard:
             return _drive_gateway(
-                args, host or "127.0.0.1", port,
-                localize_work, track_work, deadline_s, guard=guard,
+                args, host or "127.0.0.1", port, clients, tracks, guard
             )
 
-    try:
-        service = LocalizationService(
-            net.field,
-            net.positions[sniffers],
-            engine=_engine_from(args),
-            map_resolution=args.map_resolution,
-            max_batch=args.max_batch,
-            max_wait_s=args.max_wait_ms / 1000.0,
-            target_p95_s=(
-                args.target_p95_ms / 1000.0
-                if args.target_p95_ms is not None else None
-            ),
-            fusion_min_depth=args.fusion_min_depth,
-            queue_capacity=args.queue_capacity,
-            admission_policy=args.policy,
-        )
-    except ConfigurationError as exc:
-        print(f"cannot build service: {exc}", file=sys.stderr)
-        return 1
-    try:
-        plan = _load_fault_plan(args)
-    except ConfigurationError as exc:
-        print(f"cannot load fault plan {args.fault_plan}: {exc}",
-              file=sys.stderr)
-        return 1
+    service = _service(args, net, sniffers, None)
+    plan = _load_fault_plan(args)
     governor = None
     if args.slo_p95_ms is not None:
         governor = GatewayGovernor(
@@ -1185,14 +977,11 @@ def cmd_gateway(args) -> int:
             + (f"; governor SLO p95 {args.slo_p95_ms:g}ms"
                if governor is not None else "")
         )
-        if args.metrics_port is not None:
-            endpoint = MetricsServer(service.metrics, port=args.metrics_port)
-            print(f"metrics on http://127.0.0.1:{endpoint.start()}/metrics")
+        endpoint = _metrics_endpoint(args, service.metrics)
         with injected(plan), guard:
             if args.clients > 0 or args.track_sessions > 0:
                 code = _drive_gateway(
-                    args, "127.0.0.1", port,
-                    localize_work, track_work, deadline_s, guard=guard,
+                    args, "127.0.0.1", port, clients, tracks, guard
                 )
             else:
                 stop_at = (
@@ -1208,10 +997,7 @@ def cmd_gateway(args) -> int:
         service.stop(checkpoint_dir=args.checkpoint_dir)
         if endpoint is not None:
             endpoint.stop()
-    if guard.triggered:
-        print("drained after shutdown signal")
-    if plan is not None:
-        print(f"fault plan: {plan.summary()}")
+    _print_outcome(guard, plan)
     snap = gateway.snapshot()
     print(
         f"gateway: {snap['connections_opened']} connections, "
@@ -1225,10 +1011,7 @@ def cmd_gateway(args) -> int:
             f"governor: {gov['ticks']} ticks, "
             f"{gov['adjustments_total']} adjustments; knobs {gov['knobs']}"
         )
-    metrics_json = service.metrics.to_json()
-    if args.metrics_out:
-        Path(args.metrics_out).write_text(metrics_json + "\n")
-        print(f"wrote metrics to {args.metrics_out}")
+    _write_metrics(args, service.metrics.to_json(), echo=False)
     return code
 
 

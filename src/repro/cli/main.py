@@ -211,8 +211,136 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the micro-batched localization service under a "
         "synthetic multi-client load",
     )
+    _serving_args(p)
+    p.add_argument(
+        "--deadline-ms",
+        type=float,
+        default=None,
+        help="per-request deadline (expired work gets typed error replies)",
+    )
+    p.add_argument(
+        "--map",
+        default=None,
+        help="seed candidate pools from this fingerprint map "
+        "(repro build-map output; its sniffer set replaces --percentage)",
+    )
+    p.add_argument(
+        "--no-adaptive",
+        action="store_true",
+        help="disable the adaptive batch controller (fixed --max-wait-ms "
+        "linger window instead of arrival-rate sizing)",
+    )
+    p.set_defaults(handler=commands.cmd_serve)
+
+    p = sub.add_parser(
+        "fleet",
+        help="run the sharded multi-process serving fleet under a "
+        "synthetic multi-client load",
+    )
+    # Fleet workers build their own float64 engines: no --dtype.
+    _serving_args(p, queue_capacity=1024, dtype=False)
+    p.add_argument(
+        "--fleet-workers",
+        type=int,
+        default=2,
+        help="worker processes (each its own scheduler + engine)",
+    )
+    p.add_argument(
+        "--map-mode",
+        choices=["full", "sharded"],
+        default="full",
+        help="full: every worker shares the whole map (bitwise parity); "
+        "sharded: each worker loads only its spatial cluster shard",
+    )
+    p.add_argument(
+        "--cluster-cells",
+        type=int,
+        default=4,
+        help="grid cells per spatial cluster side (sharded mode)",
+    )
+    p.add_argument(
+        "--map",
+        default=None,
+        help="seed candidate pools from this fingerprint map "
+        "(repro build-map output; its sniffer set replaces --percentage)",
+    )
+    p.add_argument(
+        "--no-adaptive",
+        action="store_true",
+        help="disable the adaptive batch controller (fixed --max-wait-ms "
+        "linger window instead of arrival-rate sizing)",
+    )
+    p.set_defaults(handler=commands.cmd_fleet)
+
+    p = sub.add_parser(
+        "gateway",
+        help="run the asyncio TCP gateway in front of a localization "
+        "service (or drive a remote one with --connect)",
+    )
+    _serving_args(p)
+    p.add_argument(
+        "--connect",
+        default=None,
+        metavar="HOST:PORT",
+        help="client mode: drive the synthetic load against a remote "
+        "gateway instead of serving one",
+    )
+    p.add_argument(
+        "--deadline-ms",
+        type=float,
+        default=None,
+        help="per-request deadline (expired work gets typed error replies)",
+    )
+    p.add_argument(
+        "--duration",
+        type=float,
+        default=None,
+        help="idle-serve mode (--clients 0 --track-sessions 0): stop "
+        "after this many seconds (default: wait for SIGINT/SIGTERM)",
+    )
+    p.add_argument(
+        "--governor-interval-ms",
+        type=float,
+        default=500.0,
+        help="governor control-loop tick period",
+    )
+    p.add_argument(
+        "--port",
+        type=int,
+        default=0,
+        help="gateway TCP port (0 = ephemeral; the bound port is printed "
+        "and reported in the gateway snapshot)",
+    )
+    p.add_argument(
+        "--slo-p95-ms",
+        type=float,
+        default=None,
+        help="enable the closed-loop governor defending this reply-p95 "
+        "SLO (auto-tunes linger target, fusion depth, admission capacity)",
+    )
+    p.set_defaults(handler=commands.cmd_gateway)
+
+    p = sub.add_parser(
+        "defend", help="evaluate padding / dummy-sink countermeasures"
+    )
     _network_args(p)
-    _engine_args(p)
+    p.add_argument("--users", type=int, default=2)
+    p.add_argument("--repetitions", type=int, default=3)
+    p.set_defaults(handler=commands.cmd_defend)
+
+    return parser
+
+
+def _serving_args(
+    p: argparse.ArgumentParser, queue_capacity: int = 512, dtype: bool = True
+) -> None:
+    """Options shared by ``serve``, ``fleet`` and ``gateway``.
+
+    Under ``fleet`` the batching and admission knobs apply to each
+    worker; under ``gateway`` a client is one connection.
+    """
+    _network_args(p)
+    _engine_args(p, dtype=dtype)
     p.add_argument(
         "--percentage", type=float, default=20.0, help="%% of nodes sniffed"
     )
@@ -240,12 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="micro-batch linger ceiling before a partial batch is drained",
     )
     p.add_argument(
-        "--no-adaptive",
-        action="store_true",
-        help="disable the adaptive batch controller (fixed --max-wait-ms "
-        "linger window instead of arrival-rate sizing)",
-    )
-    p.add_argument(
         "--target-p95-ms",
         type=float,
         default=None,
@@ -260,25 +382,16 @@ def build_parser() -> argparse.ArgumentParser:
         "requests dispatch at once (adaptive mode)",
     )
     p.add_argument(
-        "--queue-capacity", type=int, default=512, help="admission queue bound"
+        "--queue-capacity",
+        type=int,
+        default=queue_capacity,
+        help="admission queue bound",
     )
     p.add_argument(
         "--policy",
         choices=["reject", "block"],
         default="reject",
         help="admission policy when the queue is full",
-    )
-    p.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        help="per-request deadline (expired work gets typed error replies)",
-    )
-    p.add_argument(
-        "--map",
-        default=None,
-        help="seed candidate pools from this fingerprint map "
-        "(repro build-map output; its sniffer set replaces --percentage)",
     )
     p.add_argument(
         "--map-resolution",
@@ -310,267 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--fault-plan",
         default=None,
-        help="arm this fault-plan JSON (repro.faults) for the load run: "
-        "batch-fuse/kernel faults are retried, backends degrade to serial",
+        help="arm this fault-plan JSON (repro.faults) for the load run",
     )
-    p.set_defaults(handler=commands.cmd_serve)
-
-    p = sub.add_parser(
-        "fleet",
-        help="run the sharded multi-process serving fleet under a "
-        "synthetic multi-client load",
-    )
-    _network_args(p)
-    _engine_args(p)
-    p.add_argument(
-        "--percentage", type=float, default=20.0, help="%% of nodes sniffed"
-    )
-    p.add_argument(
-        "--fleet-workers",
-        type=int,
-        default=2,
-        help="worker processes (each its own scheduler + engine)",
-    )
-    p.add_argument(
-        "--clients", type=int, default=8, help="concurrent logical clients"
-    )
-    p.add_argument(
-        "--requests", type=int, default=10, help="requests per client"
-    )
-    p.add_argument(
-        "--users", type=int, default=1, help="users fitted per request"
-    )
-    p.add_argument("--candidates", type=int, default=128)
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument(
-        "--max-batch",
-        type=int,
-        default=32,
-        help="per-worker micro-batch size cap",
-    )
-    p.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="per-worker micro-batch linger ceiling",
-    )
-    p.add_argument(
-        "--no-adaptive",
-        action="store_true",
-        help="disable each worker's adaptive batch controller (fixed "
-        "--max-wait-ms linger window instead of arrival-rate sizing)",
-    )
-    p.add_argument(
-        "--target-p95-ms",
-        type=float,
-        default=None,
-        help="per-worker SLO hint: cap the linger so the oldest queued "
-        "request never ages past half this budget",
-    )
-    p.add_argument(
-        "--fusion-min-depth",
-        type=int,
-        default=2,
-        help="per-worker queue depth below which the batch linger is "
-        "bypassed",
-    )
-    p.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=1024,
-        help="per-worker admission queue bound",
-    )
-    p.add_argument(
-        "--policy",
-        choices=["reject", "block"],
-        default="reject",
-        help="admission policy when a worker's queue is full",
-    )
-    p.add_argument(
-        "--map",
-        default=None,
-        help="seed candidate pools from this fingerprint map "
-        "(repro build-map output; its sniffer set replaces --percentage)",
-    )
-    p.add_argument(
-        "--map-resolution",
-        type=float,
-        default=None,
-        help="build the deployment's map at this resolution before serving",
-    )
-    p.add_argument(
-        "--map-mode",
-        choices=["full", "sharded"],
-        default="full",
-        help="full: every worker shares the whole map (bitwise parity); "
-        "sharded: each worker loads only its spatial cluster shard",
-    )
-    p.add_argument(
-        "--cluster-cells",
-        type=int,
-        default=4,
-        help="grid cells per spatial cluster side (sharded mode)",
-    )
-    p.add_argument(
-        "--track-sessions",
-        type=int,
-        default=0,
-        help="open this many tracking sessions (consistent-hash placed) "
-        "and interleave track-step requests",
-    )
-    p.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        help="session checkpoint directory (failover + migration state; "
-        "default: private temp dir)",
-    )
-    p.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        help="expose the fleet snapshot on GET /metrics "
-        "(/metrics?worker=<id> for one worker; 0 = ephemeral port)",
-    )
-    p.add_argument(
-        "--metrics-out",
-        default=None,
-        help="write the final fleet snapshot JSON here",
-    )
-    p.add_argument(
-        "--fault-plan",
-        default=None,
-        help="arm this fault-plan JSON before forking workers: "
-        "fleet.worker.exit kills workers mid-load (failover drill)",
-    )
-    p.set_defaults(handler=commands.cmd_fleet)
-
-    p = sub.add_parser(
-        "gateway",
-        help="run the asyncio TCP gateway in front of a localization "
-        "service (or drive a remote one with --connect)",
-    )
-    _network_args(p)
-    _engine_args(p)
-    p.add_argument(
-        "--percentage", type=float, default=20.0, help="%% of nodes sniffed"
-    )
-    p.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="gateway TCP port (0 = ephemeral; the bound port is printed "
-        "and reported in the gateway snapshot)",
-    )
-    p.add_argument(
-        "--connect",
-        default=None,
-        metavar="HOST:PORT",
-        help="client mode: drive the synthetic load against a remote "
-        "gateway instead of serving one",
-    )
-    p.add_argument(
-        "--clients",
-        type=int,
-        default=8,
-        help="concurrent gateway connections driving localize traffic "
-        "(0 with --track-sessions 0 = serve idle until --duration/signal)",
-    )
-    p.add_argument(
-        "--requests", type=int, default=10, help="requests per connection"
-    )
-    p.add_argument(
-        "--users", type=int, default=1, help="users fitted per request"
-    )
-    p.add_argument("--candidates", type=int, default=128)
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument(
-        "--track-sessions",
-        type=int,
-        default=0,
-        help="also stream this many tracking sessions through the gateway",
-    )
-    p.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="idle-serve mode: stop after this many seconds "
-        "(default: wait for SIGINT/SIGTERM)",
-    )
-    p.add_argument(
-        "--slo-p95-ms",
-        type=float,
-        default=None,
-        help="enable the closed-loop governor defending this reply-p95 "
-        "SLO (auto-tunes linger target, fusion depth, admission capacity)",
-    )
-    p.add_argument(
-        "--governor-interval-ms",
-        type=float,
-        default=500.0,
-        help="governor control-loop tick period",
-    )
-    p.add_argument("--max-batch", type=int, default=32)
-    p.add_argument("--max-wait-ms", type=float, default=2.0)
-    p.add_argument(
-        "--target-p95-ms",
-        type=float,
-        default=None,
-        help="initial adaptive-controller SLO hint (the governor moves it)",
-    )
-    p.add_argument("--fusion-min-depth", type=int, default=2)
-    p.add_argument(
-        "--queue-capacity", type=int, default=512, help="admission queue bound"
-    )
-    p.add_argument(
-        "--policy", choices=["reject", "block"], default="reject"
-    )
-    p.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        help="per-request deadline carried in the request frames",
-    )
-    p.add_argument(
-        "--map-resolution",
-        type=float,
-        default=None,
-        help="build the deployment's map at this resolution before serving",
-    )
-    p.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        help="drain-and-checkpoint tracking sessions here on shutdown",
-    )
-    p.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        help="expose GET /metrics and GET /trace on this port "
-        "(0 = ephemeral)",
-    )
-    p.add_argument(
-        "--metrics-out", default=None, help="write the final metrics JSON here"
-    )
-    p.add_argument(
-        "--fault-plan",
-        default=None,
-        help="arm this fault-plan JSON (gateway.client.slow / "
-        "gateway.conn.half_open / gateway.frame.torn chaos sites)",
-    )
-    p.set_defaults(handler=commands.cmd_gateway)
-
-    p = sub.add_parser(
-        "defend", help="evaluate padding / dummy-sink countermeasures"
-    )
-    _network_args(p)
-    p.add_argument("--users", type=int, default=2)
-    p.add_argument("--repetitions", type=int, default=3)
-    p.set_defaults(handler=commands.cmd_defend)
-
-    return parser
 
 
-def _engine_args(p: argparse.ArgumentParser) -> None:
+def _engine_args(p: argparse.ArgumentParser, dtype: bool = True) -> None:
     group = p.add_argument_group(
         "engine", "parallel kernel engine (see docs/PERFORMANCE.md)"
     )
@@ -588,6 +445,8 @@ def _engine_args(p: argparse.ArgumentParser) -> None:
         help="candidate sinks per kernel-evaluation chunk (bounds the "
         "evaluator's working set)",
     )
+    if not dtype:
+        return
     group.add_argument(
         "--dtype",
         choices=["float64", "float32"],
@@ -612,12 +471,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return int(args.handler(args))
     except SystemExit as exc:
-        # argparse already printed its message; normalize to an explicit
-        # return code: 2 for usage errors (e.g. an unknown subcommand),
-        # 0 for --help / --version.
+        # Normalize to an explicit return code: argparse exits 2 on usage
+        # errors (e.g. an unknown subcommand) and 0 on --help / --version;
+        # a command exits 1 on an unusable input file or configuration.
         code = exc.code
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
-    return int(args.handler(args))

@@ -257,9 +257,8 @@ class SpatialIndex:
             calls with the same workspace reuse the ``(C, B)`` score
             grids instead of reallocating them per batch — the serving
             scheduler passes its own, so concurrent services sharing
-            one map never share scratch. Values are written with the
-            exact ufunc sequence of the allocation path (``out=``
-            variants), so results are bitwise-identical with or
+            one map never share scratch. Without one, the call stages
+            into a fresh dict, so results are bitwise-identical with or
             without it.
 
         Returns one ``(indices, thetas, residuals)`` triple per
@@ -288,36 +287,26 @@ class SpatialIndex:
         den_floor = np.maximum(den, 1e-300)[:, None]
         count, batch = sig.shape[0], targets.shape[0]
         if workspace is None:
-            num = np.einsum("cn,bn->cb", sig, targets)  # (C, B)
-            t2 = np.einsum("bn,bn->b", targets, targets)
-            thetas = np.maximum(num / den_floor, 0.0)
-            sq = np.maximum(
-                t2[None, :] - 2.0 * thetas * num
-                + thetas * thetas * den[:, None],
-                0.0,
-            )
-            residuals = np.sqrt(sq)
-        else:
-            num = _workspace_buffer(workspace, "num", (count, batch))
-            t2 = _workspace_buffer(workspace, "t2", (batch,))
-            thetas = _workspace_buffer(workspace, "thetas", (count, batch))
-            tmp = _workspace_buffer(workspace, "tmp", (count, batch))
-            residuals = _workspace_buffer(workspace, "sq", (count, batch))
-            np.einsum("cn,bn->cb", sig, targets, out=num)
-            np.einsum("bn,bn->b", targets, targets, out=t2)
-            # Same ufunc chain as above, written into reused storage:
-            # theta = max(num / den_floor, 0);
-            # sq = max(t2 - (2 theta) num + (theta theta) den, 0).
-            np.divide(num, den_floor, out=thetas)
-            np.maximum(thetas, 0.0, out=thetas)
-            np.multiply(2.0, thetas, out=tmp)
-            np.multiply(tmp, num, out=tmp)
-            np.subtract(t2[None, :], tmp, out=residuals)
-            np.multiply(thetas, thetas, out=tmp)
-            np.multiply(tmp, den[:, None], out=tmp)
-            np.add(residuals, tmp, out=residuals)
-            np.maximum(residuals, 0.0, out=residuals)
-            np.sqrt(residuals, out=residuals)
+            workspace = {}
+        num = _workspace_buffer(workspace, "num", (count, batch))
+        t2 = _workspace_buffer(workspace, "t2", (batch,))
+        thetas = _workspace_buffer(workspace, "thetas", (count, batch))
+        tmp = _workspace_buffer(workspace, "tmp", (count, batch))
+        residuals = _workspace_buffer(workspace, "sq", (count, batch))
+        np.einsum("cn,bn->cb", sig, targets, out=num)
+        np.einsum("bn,bn->b", targets, targets, out=t2)
+        # theta = max(num / den_floor, 0);
+        # sq = max(t2 - (2 theta) num + (theta theta) den, 0).
+        np.divide(num, den_floor, out=thetas)
+        np.maximum(thetas, 0.0, out=thetas)
+        np.multiply(2.0, thetas, out=tmp)
+        np.multiply(tmp, num, out=tmp)
+        np.subtract(t2[None, :], tmp, out=residuals)
+        np.multiply(thetas, thetas, out=tmp)
+        np.multiply(tmp, den[:, None], out=tmp)
+        np.add(residuals, tmp, out=residuals)
+        np.maximum(residuals, 0.0, out=residuals)
+        np.sqrt(residuals, out=residuals)
         return [
             self._rank_matches(
                 np.ascontiguousarray(residuals[:, b]),

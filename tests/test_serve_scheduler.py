@@ -195,6 +195,21 @@ class TestFusedMapMatching:
             assert np.array_equal(match.residuals, alone.residuals)
             assert np.array_equal(match.positions, alone.positions)
 
+    def test_match_many_workspace_changes_no_bits(self, scenario):
+        """The scheduler passes a reused workspace; tests and benches
+        usually pass none. Both stage through the same ``out=`` chain."""
+        net, sniffers, fmap = scenario
+        observations = _observations(net, sniffers, 5, seed=32)
+        values = np.stack([obs.values for obs in observations])
+        workspace = {}
+        fmap.match_many(values[:2], [4, 4], workspace=workspace)  # warm
+        staged = fmap.match_many(values, [4] * 5, workspace=workspace)
+        fresh = fmap.match_many(values, [4] * 5)
+        for a, b in zip(staged, fresh):
+            assert np.array_equal(a.indices, b.indices)
+            assert np.array_equal(a.thetas, b.thetas)
+            assert np.array_equal(a.residuals, b.residuals)
+
     def test_match_many_agrees_with_match(self, scenario):
         """Same math as the single-observation path; only the BLAS
         kernel differs (einsum vs gemv), so agreement is allclose, not
