@@ -1,7 +1,7 @@
 """Engine benchmark trajectory: kernel evaluation + parallel filtering.
 
 Two cases, both emitted into ``BENCH_engine.json`` through the shared
-runner (:mod:`repro.engine.benchrunner`):
+runner (``benchmarks/benchrunner.py``):
 
 ``kernel_pool``
     A large candidate pool evaluated through the legacy pair-grid
@@ -36,7 +36,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.engine import Engine, measure, reference_geometry_kernels, write_bench_json
+from benchrunner import measure, write_bench_json
+from repro.engine import Engine, reference_geometry_kernels
 from repro.engine.kernels import evaluate_geometry_kernels
 from repro.fingerprint.nls import coordinate_descent
 from repro.fingerprint.objective import (

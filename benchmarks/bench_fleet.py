@@ -28,7 +28,8 @@ standalone::
 
     PYTHONPATH=src python benchmarks/bench_fleet.py [--quick]
 
-emitting ``BENCH_fleet.json`` via the shared runner.
+emitting ``BENCH_fleet.json`` via the shared runner
+(``benchmarks/benchrunner.py``).
 """
 
 from __future__ import annotations
@@ -333,7 +334,7 @@ def test_fleet_migration_gate(fleet_scenario):
 
 
 def main() -> None:
-    from repro.engine import write_bench_json
+    from benchrunner import write_bench_json
 
     quick = "--quick" in sys.argv[1:]
     net, sniffers = _scenario()

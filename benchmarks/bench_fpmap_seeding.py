@@ -12,7 +12,7 @@ pytest-benchmark like the rest of the suite, or standalone::
 
 emitting one JSON record with the median errors, wall-clock, and the
 map's kernel-cache hit rate into ``BENCH_fpmap_seeding.json`` via the
-shared runner (:mod:`repro.engine.benchrunner`).
+shared runner (``benchmarks/benchrunner.py``).
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def test_fpmap_seeding_quarter_budget(benchmark, fpmap_scenario):
 
 
 def main() -> None:
-    from repro.engine import write_bench_json
+    from benchrunner import write_bench_json
 
     net, sniffers, fmap = _deployment()
     record = _run(net, sniffers, fmap, _scenarios(net, sniffers))

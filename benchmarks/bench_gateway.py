@@ -18,7 +18,8 @@ Runs under pytest like the rest of the suite, or standalone::
 
     PYTHONPATH=src python benchmarks/bench_gateway.py [--quick]
 
-emitting ``BENCH_gateway.json`` via the shared runner.
+emitting ``BENCH_gateway.json`` via the shared runner
+(``benchmarks/benchrunner.py``).
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def test_gateway_tier_zero_lost_zero_dup(benchmark, gateway_scenario):
 
 
 def main() -> None:
-    from repro.engine import write_bench_json
+    from benchrunner import write_bench_json
 
     quick = "--quick" in sys.argv[1:]
     tiers = QUICK_TIERS if quick else CONNECTION_TIERS

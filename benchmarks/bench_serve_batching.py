@@ -17,13 +17,14 @@ standalone::
 
     PYTHONPATH=src python benchmarks/bench_serve_batching.py [--quick] [--gate]
 
-emitting ``BENCH_serve.json`` via the shared runner, with three
-correctness gates in ``meta``: batched replies are bitwise-identical
-(float64) to per-request replies, the adaptive controller's replies
-are bitwise-identical to the fixed-window scheduler's, and
-deadline-expired requests get typed error replies. ``--gate`` exits
-nonzero if any client count's batched throughput falls below
-unbatched or a correctness gate fails — the CI regression tripwire.
+emitting ``BENCH_serve.json`` via the shared runner
+(``benchmarks/benchrunner.py``), with three correctness gates in
+``meta``: batched replies are bitwise-identical (float64) to
+per-request replies, the adaptive controller's replies are
+bitwise-identical to the fixed-window scheduler's, and deadline-expired
+requests get typed error replies. ``--gate`` exits nonzero if any
+client count's batched throughput falls below unbatched or a
+correctness gate fails — the CI regression tripwire.
 """
 
 from __future__ import annotations
@@ -312,7 +313,7 @@ def test_serve_adaptive_fixed_parity(serve_scenario):
 
 
 def main() -> None:
-    from repro.engine import write_bench_json
+    from benchrunner import write_bench_json
 
     quick = "--quick" in sys.argv[1:]
     gate = "--gate" in sys.argv[1:]

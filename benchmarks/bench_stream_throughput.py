@@ -11,7 +11,7 @@ under pytest-benchmark like the rest of the suite, or standalone::
 
 emitting one JSON record per session count into
 ``BENCH_stream_throughput.json`` via the shared runner
-(:mod:`repro.engine.benchrunner`). ``meta.bitwise_equals_local`` is the
+(``benchmarks/benchrunner.py``). ``meta.bitwise_equals_local`` is the
 correctness gate: every session's final ``estimates()`` — in every
 sweep run, and in a 3-session run with ``Engine(workers=2)`` behind the
 service — equals a local :class:`~repro.stream.TrackingSession` loop on
@@ -142,7 +142,7 @@ def test_stream_engine_parity(stream_scenario):
 
 
 def main() -> int:
-    from repro.engine import write_bench_json
+    from benchrunner import write_bench_json
 
     net, sniffers, observations = _scenario()
     records = []

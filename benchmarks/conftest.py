@@ -12,7 +12,14 @@ still recorded in each benchmark's ``extra_info``.
 
 from __future__ import annotations
 
+import os
+import sys
+
 import pytest
+
+# The perf benches import ``benchrunner`` as a top-level module, which
+# works unaided when they run as scripts; match that under pytest.
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 
 def report(benchmark, result) -> None:

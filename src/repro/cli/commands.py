@@ -933,7 +933,7 @@ def _drive_gateway(args, host, port, clients, tracks, guard) -> int:
 
 def cmd_gateway(args) -> int:
     from repro.faults import injected
-    from repro.gateway import GatewayGovernor, GatewayServer
+    from repro.gateway import GatewayServer
 
     gen = as_generator(args.seed)
     net, sniffers, _ = _deployment(args, gen)
@@ -955,17 +955,8 @@ def cmd_gateway(args) -> int:
 
     service = _service(args, net, sniffers, None)
     plan = _load_fault_plan(args)
-    governor = None
-    if args.slo_p95_ms is not None:
-        governor = GatewayGovernor(
-            service,
-            slo_p95_s=args.slo_p95_ms / 1000.0,
-            interval_s=args.governor_interval_ms / 1000.0,
-        )
     service.start()
-    gateway = GatewayServer(
-        service, host="127.0.0.1", port=args.port, governor=governor
-    )
+    gateway = GatewayServer(service, host="127.0.0.1", port=args.port)
     guard = _ShutdownGuard()
     code = 0
     endpoint = None
@@ -974,8 +965,6 @@ def cmd_gateway(args) -> int:
         print(
             f"gateway on 127.0.0.1:{port} fronting "
             f"{sniffers.size}/{net.node_count} sniffed nodes"
-            + (f"; governor SLO p95 {args.slo_p95_ms:g}ms"
-               if governor is not None else "")
         )
         endpoint = _metrics_endpoint(args, service.metrics)
         with injected(plan), guard:
@@ -1005,12 +994,6 @@ def cmd_gateway(args) -> int:
         f"{snap['replies_dropped']} replies dropped, "
         f"{snap['protocol_errors']} protocol errors"
     )
-    if governor is not None:
-        gov = governor.snapshot()
-        print(
-            f"governor: {gov['ticks']} ticks, "
-            f"{gov['adjustments_total']} adjustments; knobs {gov['knobs']}"
-        )
     _write_metrics(args, service.metrics.to_json(), echo=False)
     return code
 

@@ -299,24 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
         "after this many seconds (default: wait for SIGINT/SIGTERM)",
     )
     p.add_argument(
-        "--governor-interval-ms",
-        type=float,
-        default=500.0,
-        help="governor control-loop tick period",
-    )
-    p.add_argument(
         "--port",
         type=int,
         default=0,
         help="gateway TCP port (0 = ephemeral; the bound port is printed "
         "and reported in the gateway snapshot)",
-    )
-    p.add_argument(
-        "--slo-p95-ms",
-        type=float,
-        default=None,
-        help="enable the closed-loop governor defending this reply-p95 "
-        "SLO (auto-tunes linger target, fusion depth, admission capacity)",
     )
     p.set_defaults(handler=commands.cmd_gateway)
 

@@ -10,9 +10,7 @@ batched theta solve (Formula 4.1) — hardware-saturating:
 * :mod:`repro.engine.executor` fans chunks, solver row blocks,
   per-user rankings and fingerprint-map cell batches out over a shared
   worker pool — with the invariant that float64 parallel output is
-  bitwise-equal to serial (disjoint writes, no reduction-order changes);
-* :mod:`repro.engine.benchrunner` records every perf benchmark into a
-  machine-readable ``BENCH_*.json`` trajectory.
+  bitwise-equal to serial (disjoint writes, no reduction-order changes).
 
 See docs/PERFORMANCE.md for knob guidance.
 """
@@ -23,7 +21,6 @@ from repro.engine.kernels import (
     evaluate_geometry_kernels,
     reference_geometry_kernels,
 )
-from repro.engine.benchrunner import measure, peak_rss_kb, write_bench_json
 
 __all__ = [
     "EngineConfig",
@@ -31,7 +28,4 @@ __all__ = [
     "resolve_engine",
     "evaluate_geometry_kernels",
     "reference_geometry_kernels",
-    "measure",
-    "peak_rss_kb",
-    "write_bench_json",
 ]

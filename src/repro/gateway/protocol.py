@@ -71,7 +71,7 @@ def decode_frame(line: bytes) -> Dict:
         )
     try:
         frame = json.loads(line.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 is a ValueError
         raise ProtocolError(f"unparseable frame: {exc}") from exc
     if not isinstance(frame, dict):
         raise ProtocolError(
@@ -80,6 +80,24 @@ def decode_frame(line: bytes) -> Dict:
     if not isinstance(frame.get("type"), str) or not frame["type"]:
         raise ProtocolError("frame needs a string 'type'")
     return frame
+
+
+def frame_field(frame: Dict, name: str, cast, default=None):
+    """``cast(frame[name])``, or ``default`` when the field is absent or null.
+
+    A value ``cast`` rejects is the client's error, raised as
+    :class:`ProtocolError` so that it is answered, never crashes.
+    """
+    value = frame.get(name)
+    if value is None:
+        return default
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProtocolError(
+            f"bad {name!r} in {frame['type']} frame "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def _wire_float(value: float) -> Optional[float]:

@@ -40,6 +40,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import logging
+import math
 import threading
 from typing import Dict, Optional
 
@@ -161,9 +162,6 @@ class GatewayServer:
         port, published via :attr:`port` and in :meth:`snapshot`.
     name:
         Span-id prefix, useful when several gateways front one fleet.
-    governor:
-        Optional :class:`~repro.gateway.governor.GatewayGovernor`;
-        started and stopped with the server.
     """
 
     def __init__(
@@ -172,7 +170,6 @@ class GatewayServer:
         host: str = "127.0.0.1",
         port: int = 0,
         name: str = "gw",
-        governor=None,
         subscribe_interval_s: float = 0.25,
     ):
         if not callable(getattr(backend, "submit", None)):
@@ -188,7 +185,6 @@ class GatewayServer:
         self.host = host
         self._requested_port = int(port)
         self.name = str(name)
-        self.governor = governor
         self.subscribe_interval_s = float(subscribe_interval_s)
         self.metrics = GatewayMetrics()
         backend_metrics = getattr(backend, "metrics", None)
@@ -232,8 +228,6 @@ class GatewayServer:
                 f"gateway failed to bind {self.host}:{self._requested_port} "
                 f"({self._startup_error})"
             )
-        if self.governor is not None:
-            self.governor.start()
         return self._bound_port
 
     def _run(self, started: threading.Event) -> None:
@@ -281,8 +275,6 @@ class GatewayServer:
         """Stop accepting, cancel connection tasks, join the thread."""
         if self._thread is None:
             return
-        if self.governor is not None:
-            self.governor.stop()
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=10.0)
         self._thread = None
@@ -295,7 +287,7 @@ class GatewayServer:
         self.stop()
 
     def snapshot(self) -> Dict[str, object]:
-        """JSON-ready gateway state: endpoint, counters, governor."""
+        """JSON-ready gateway state: endpoint and counters."""
         snap = {
             "name": self.name,
             "host": self.host,
@@ -303,8 +295,6 @@ class GatewayServer:
             "backend": type(self.backend).__name__,
         }
         snap.update(self.metrics.snapshot())
-        if self.governor is not None:
-            snap["governor"] = self.governor.snapshot()
         return snap
 
     # ------------------------------------------------------------------
@@ -357,16 +347,36 @@ class GatewayServer:
         try:
             frame = protocol.decode_frame(line)
         except ProtocolError as exc:
-            self.metrics.protocol_error()
-            await self._write(conn, protocol.error_frame(
-                None, protocol.ERROR_BAD_FRAME, str(exc)
-            ))
+            await self._reject(conn, None, protocol.ERROR_BAD_FRAME, str(exc))
             return
-        kind = frame["type"]
         frame_id = frame.get("id")
         if frame_id is not None:
             frame_id = str(frame_id)
+        try:
+            await self._handle_frame(conn, frame, frame_id, received_at)
+        except ProtocolError as exc:
+            # Raised while reading the frame's fields, before any write:
+            # the one reply is this error frame.
+            await self._reject(
+                conn, frame_id, protocol.ERROR_BAD_REQUEST, str(exc)
+            )
 
+    async def _reject(
+        self, conn: _Connection, frame_id: Optional[str], code: str,
+        message: str,
+    ) -> None:
+        """Count one protocol error and answer it with a typed frame."""
+        self.metrics.protocol_error()
+        await self._write(conn, protocol.error_frame(frame_id, code, message))
+
+    async def _handle_frame(
+        self,
+        conn: _Connection,
+        frame: Dict,
+        frame_id: Optional[str],
+        received_at: float,
+    ) -> None:
+        kind = frame["type"]
         if kind in ("localize", "track_step"):
             spec = should_fire("gateway.conn.half_open")
             if spec is not None:
@@ -406,11 +416,12 @@ class GatewayServer:
             await self._write(conn, {"type": "metrics_unsubscribed",
                                      "id": frame_id})
         elif kind == "trace_dump":
+            limit = protocol.frame_field(frame, "limit", int)
             await self._write(conn, _nan_safe_deep({
                 "type": "traces",
                 "id": frame_id,
                 "traces": (
-                    self._server_metrics.recent_traces(frame.get("limit"))
+                    self._server_metrics.recent_traces(limit)
                     if self._server_metrics is not None else []
                 ),
                 "stages": (
@@ -420,11 +431,10 @@ class GatewayServer:
                 "gateway": self.metrics.snapshot(),
             }))
         else:
-            self.metrics.protocol_error()
-            await self._write(conn, protocol.error_frame(
-                frame_id, protocol.ERROR_UNKNOWN_TYPE,
+            await self._reject(
+                conn, frame_id, protocol.ERROR_UNKNOWN_TYPE,
                 f"unknown frame type {kind!r}",
-            ))
+            )
 
     async def _forward(
         self,
@@ -436,21 +446,14 @@ class GatewayServer:
     ) -> None:
         """Build the typed request, admit it, and arm the reply task."""
         span_id = f"{self.name}-{conn.conn_id}-{frame_id}"
-        try:
-            if kind == "localize":
-                request = protocol.localize_request_from_frame(
-                    frame, conn.client_id, span_id
-                )
-            else:
-                request = protocol.track_request_from_frame(
-                    frame, conn.client_id, span_id
-                )
-        except ProtocolError as exc:
-            self.metrics.protocol_error()
-            await self._write(conn, protocol.error_frame(
-                frame_id, protocol.ERROR_BAD_REQUEST, str(exc)
-            ))
-            return
+        if kind == "localize":
+            request = protocol.localize_request_from_frame(
+                frame, conn.client_id, span_id
+            )
+        else:
+            request = protocol.track_request_from_frame(
+                frame, conn.client_id, span_id
+            )
         try:
             future = self.backend.submit(request)
         except Exception as exc:
@@ -542,19 +545,16 @@ class GatewayServer:
         self, conn: _Connection, frame: Dict, frame_id: Optional[str]
     ) -> None:
         session_id = str(frame.get("session_id") or "")
-        user_count = frame.get("user_count", 1)
-        seed = int(frame.get("seed", 0))
+        user_count = protocol.frame_field(frame, "user_count", int, 1)
+        seed = protocol.frame_field(frame, "seed", int, 0)
         try:
             if not session_id:
                 raise ConfigurationError("open_session needs a session_id")
             if hasattr(self.backend, "fleet_snapshot"):
-                self.backend.open_session(
-                    session_id, int(user_count), seed=seed
-                )
+                self.backend.open_session(session_id, user_count, seed=seed)
             else:
                 self.backend.open_session(
-                    session_id, int(user_count),
-                    rng=np.random.default_rng(seed),
+                    session_id, user_count, rng=np.random.default_rng(seed),
                 )
         except Exception as exc:
             await self._write(conn, protocol.error_frame(
@@ -566,13 +566,11 @@ class GatewayServer:
             "type": "session_opened",
             "id": frame_id,
             "session_id": session_id,
-            "user_count": int(user_count),
+            "user_count": user_count,
         })
 
     def _metrics_payload(self) -> Dict:
         payload = {"gateway": self.metrics.snapshot()}
-        if self.governor is not None:
-            payload["governor"] = self.governor.snapshot()
         if self._server_metrics is not None:
             payload["service"] = self._server_metrics.snapshot()
         elif hasattr(self.backend, "fleet_snapshot"):
@@ -582,17 +580,23 @@ class GatewayServer:
     def _subscribe(
         self, conn: _Connection, frame: Dict, frame_id: Optional[str]
     ) -> None:
+        interval = (
+            protocol.frame_field(frame, "interval_s", float)
+            or self.subscribe_interval_s
+        )
+        count = protocol.frame_field(frame, "count", int)
+        if not math.isfinite(interval):
+            raise ProtocolError(f"interval_s must be finite, got {interval}")
+        if count is not None and count < 1:
+            # Zero pushes would leave the frame with no reply at all.
+            raise ProtocolError(f"count must be >= 1, got {count}")
         if conn.subscription is not None:
             conn.subscription.cancel()
-        interval = float(
-            frame.get("interval_s") or self.subscribe_interval_s
-        )
-        count = frame.get("count")
 
         async def _push() -> None:
             sent = 0
             try:
-                while count is None or sent < int(count):
+                while count is None or sent < count:
                     frame_out = {
                         "type": "metrics",
                         "id": frame_id,

@@ -1,26 +1,16 @@
-"""Shared metrics primitives: percentiles and latency reservoirs.
+"""Shared metrics primitives: quantile labels and latency reservoirs.
 
-Before this module existed the percentile machinery lived twice — a
-pure-Python linear-interpolated :func:`quantile` in
-:mod:`repro.engine.benchrunner` (small benchmark samples) and an
-``np.quantile`` ring buffer inside :class:`repro.stream.metrics.
-StreamMetrics` (per-window latencies). The serving layer needs the same
-machinery a third time (request latencies, batch-size distributions),
-so both implementations were factored here and are re-exported from
-their original homes.
+:class:`LatencyReservoir` is the bounded ring buffer behind every
+reported latency quantile: per-window latencies in
+:class:`repro.stream.metrics.StreamMetrics`, and request, stage and
+queue-wait latencies in :class:`repro.serve.metrics.ServerMetrics` and
+the gateway. Its quantiles are ``np.quantile`` over the retained
+window, the historical ``StreamMetrics`` contract; the regression tests
+in ``tests/test_metrics_shared.py`` pin it against a verbatim copy of
+the pre-factoring implementation on fixed inputs.
 
-Two quantile flavors are kept deliberately:
-
-* :func:`quantile` — the benchrunner's pure-Python linear
-  interpolation, for tiny samples where importing numpy paths buys
-  nothing. Its output is the historical ``BENCH_*.json`` contract.
-* :meth:`LatencyReservoir.quantiles` — ``np.quantile`` over the
-  retained ring-buffer window, the historical ``StreamMetrics``
-  contract.
-
-The regression tests in ``tests/test_metrics_shared.py`` pin both
-against verbatim copies of the pre-factoring implementations on fixed
-inputs, so neither refactor changed a single reported number.
+:func:`quantile_labels` turns quantile levels into the stable snapshot
+keys (``0.95 -> "p95"``).
 """
 
 from __future__ import annotations
@@ -30,25 +20,6 @@ from typing import Dict, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-
-
-def quantile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolated quantile of a small sample.
-
-    Exact behavior of the pre-factoring benchrunner implementation:
-    sort, position ``q * (len - 1)``, convex combination of the two
-    bracketing order statistics.
-    """
-    xs = sorted(float(v) for v in values)
-    if not xs:
-        raise ValueError("quantile of an empty sample")
-    if len(xs) == 1:
-        return xs[0]
-    pos = q * (len(xs) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(xs) - 1)
-    frac = pos - lo
-    return xs[lo] * (1.0 - frac) + xs[hi] * frac
 
 
 def quantile_labels(qs: Sequence[float]) -> list:

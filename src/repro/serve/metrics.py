@@ -67,7 +67,6 @@ class ServerMetrics:
         self._stage_capacity = int(latency_capacity)
         self._traces: deque = deque(maxlen=trace_capacity)
         self.traces_recorded = 0
-        self.governor_adjustments: Counter = Counter()  # by knob name
         self.endpoint: Optional[Dict[str, object]] = None  # bound HTTP addr
         self._probes: Dict[str, object] = {}  # live objects we snapshot
 
@@ -77,7 +76,6 @@ class ServerMetrics:
         controller=None,
         arena=None,
         envelope_pool=None,
-        governor=None,
     ) -> None:
         """Register live scheduler internals for snapshot reporting.
 
@@ -94,7 +92,6 @@ class ServerMetrics:
                 ("controller", controller),
                 ("arena", arena),
                 ("envelope_pool", envelope_pool),
-                ("governor", governor),
             ):
                 if probe is not None:
                     self._probes[name] = probe
@@ -232,11 +229,6 @@ class ServerMetrics:
         return out
 
     # ------------------------------------------------------------------
-    def record_governor_adjustment(self, knob: str) -> None:
-        """The gateway governor moved ``knob`` (every move is counted)."""
-        with self._lock:
-            self.governor_adjustments[knob] += 1
-
     def set_endpoint(self, host: str, port: int) -> None:
         """Record the bound HTTP endpoint for snapshot reporting."""
         with self._lock:
@@ -296,13 +288,6 @@ class ServerMetrics:
                 "queue_wait_p95_s": waits["p95"],
                 "stages": self._stage_quantiles_locked(),
                 "traces_recorded": self.traces_recorded,
-                "governor_adjustments": {
-                    str(k): v
-                    for k, v in sorted(self.governor_adjustments.items())
-                },
-                "governor_adjustments_total": int(
-                    sum(self.governor_adjustments.values())
-                ),
             }
             if self.endpoint is not None:
                 snap["metrics_endpoint"] = dict(self.endpoint)
@@ -328,9 +313,6 @@ class ServerMetrics:
                     "allocations": pool.allocations,
                     "free": len(pool),
                 }
-            governor = self._probes.get("governor")
-            if governor is not None:
-                snap["governor"] = governor.snapshot()
             return snap
 
     def to_json(self, indent: int = 2) -> str:

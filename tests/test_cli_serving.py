@@ -49,8 +49,7 @@ _DEFAULTS = {
     },
     "gateway": {
         **_NETWORK, **_ENGINE, **_SERVING,
-        "connect": None, "deadline_ms": None, "duration": None,
-        "governor_interval_ms": 500.0, "port": 0, "slo_p95_ms": None,
+        "connect": None, "deadline_ms": None, "duration": None, "port": 0,
     },
 }
 

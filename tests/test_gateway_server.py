@@ -164,6 +164,47 @@ class TestExactlyOneReply:
         assert pong == {"type": "pong", "id": "after"}
         assert gateway.metrics.protocol_errors == 1
 
+    @pytest.mark.parametrize("line, code", [
+        (b'{"type":"ping","id":"deep","x":' + b"[" * 5000 + b"]" * 5000
+         + b"}\n", "bad_frame"),
+        (b'{"type":"open_session","id":"o","session_id":"s","seed":"x"}\n',
+         "bad_request"),
+        (b'{"type":"subscribe_metrics","id":"i","interval_s":"x"}\n',
+         "bad_request"),
+        (b'{"type":"trace_dump","id":"t","limit":"x"}\n', "bad_request"),
+        (b'{"type":"subscribe_metrics","id":"c","count":"x"}\n',
+         "bad_request"),
+    ], ids=["deep-nesting", "seed", "interval", "limit", "count"])
+    def test_bad_field_gets_one_typed_error_and_connection_survives(
+        self, scenario, line, code
+    ):
+        with _service(scenario) as service, GatewayServer(service) as gateway:
+            async def go():
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", gateway.port
+                )
+                try:
+                    writer.write(line)
+                    writer.write(protocol.encode_frame(
+                        {"type": "ping", "id": "after"}
+                    ))
+                    await writer.drain()
+                    # A frame with no reply must fail the test, not hang it.
+                    first, second = [
+                        json.loads(await asyncio.wait_for(reader.readline(), 10))
+                        for _ in range(2)
+                    ]
+                    return first, second
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+
+            error, pong = _run(go())
+        assert error["type"] == "error"
+        assert error["code"] == code
+        assert pong == {"type": "pong", "id": "after"}
+        assert gateway.metrics.protocol_errors == 1
+
     def test_unknown_frame_type_is_typed(self, scenario):
         with _service(scenario) as service, GatewayServer(service) as gateway:
             async def go():

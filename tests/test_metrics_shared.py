@@ -1,18 +1,21 @@
-"""The shared metrics module reports the exact pre-factoring numbers.
+"""The shared percentile code reports the exact pre-factoring numbers.
 
-``repro.metrics`` absorbed two percentile implementations: the
-benchrunner's pure-Python :func:`quantile` and the ``np.quantile``
-ring buffer inside ``StreamMetrics``. These tests pin both against
-verbatim copies of the pre-factoring code on fixed inputs — the
-factoring must not change a single reported number — and cover the
-reservoir semantics the serve layer now also relies on.
+Two percentile implementations were factored out of their original
+homes: the benchmark runner's pure-Python :func:`quantile` (now in
+``benchmarks/benchrunner.py``) and the ``np.quantile`` ring buffer
+inside ``StreamMetrics`` (now ``repro.metrics.LatencyReservoir``).
+These tests pin both against verbatim copies of the pre-factoring code
+on fixed inputs — the factoring must not change a single reported
+number — and cover the reservoir semantics the serve layer now also
+relies on.
 """
 
 import numpy as np
 import pytest
 
+from benchmarks.benchrunner import quantile
 from repro.errors import ConfigurationError
-from repro.metrics import LatencyReservoir, quantile, quantile_labels
+from repro.metrics import LatencyReservoir, quantile_labels
 from repro.stream.metrics import StreamMetrics
 
 
@@ -69,12 +72,6 @@ class TestQuantileRegression:
     def test_empty_sample_raises(self):
         with pytest.raises(ValueError):
             quantile([], 0.5)
-
-    def test_benchrunner_reexports_the_shared_function(self):
-        from repro.engine import benchrunner
-        from repro import metrics
-
-        assert benchrunner.quantile is metrics.quantile
 
 
 class TestReservoirRegression:
